@@ -92,8 +92,8 @@ func fig3Once(progs []trace.Program) float64 {
 // BenchmarkFig3 runs the best-case energy-delay search (E2/E3) over the
 // core set and reports the mean constrained relative ED. The trace replay
 // store is primed first, so this measures the warm-store sweep path every
-// production sweep after the first takes; BenchmarkFig3ColdStore is the
-// generator-path counterpart.
+// production sweep after the first takes; BenchmarkFig3Bypass is the
+// store-bypass counterpart.
 func BenchmarkFig3(b *testing.B) {
 	progs := coreSet(b)
 	fig3Once(progs) // prime the replay store (and pin the expected result)
@@ -133,11 +133,12 @@ func BenchmarkFig3Timeline(b *testing.B) {
 	b.ReportMetric(mean, "mean-ED(C)")
 }
 
-// BenchmarkFig3ColdStore is BenchmarkFig3 with the replay store disabled:
-// every simulation regenerates its instruction stream through the trace
-// generator, the pre-replay-store behaviour. The warm/cold ratio is the
-// replay store's sweep-level payoff.
-func BenchmarkFig3ColdStore(b *testing.B) {
+// BenchmarkFig3Bypass is BenchmarkFig3 with the replay store's budget at 0
+// (driserve -tracebudget 0), restored afterwards: the store bypasses every
+// stream, so each lane batch runs over one pass of the trace generator
+// instead of one replay decode. Its ratio to BenchmarkFig3 is the replay
+// store's remaining sweep-level payoff.
+func BenchmarkFig3Bypass(b *testing.B) {
 	st := trace.SharedStore()
 	st.SetBudget(0)
 	defer st.SetBudget(trace.DefaultStoreBudget)

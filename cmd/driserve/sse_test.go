@@ -3,8 +3,8 @@ package main
 // httptest coverage of the live progress stream: request IDs propagate into
 // every event payload, a fast already-finished run still replays its full
 // event history, a disconnecting client releases its subscription, and a
-// timeline request the replay path cannot serve is rejected up front with a
-// structured 400.
+// timeline request on a stream the trace store bypasses is served like any
+// other.
 
 import (
 	"bufio"
@@ -12,12 +12,15 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"dricache/internal/engine"
+	"dricache/internal/timeline"
+	"dricache/internal/trace"
 )
 
 // sseMessage is one parsed SSE frame.
@@ -382,18 +385,82 @@ func TestSlowSubscriberStreamEndsWithDrop(t *testing.T) {
 	}
 }
 
-// TestTimelineBypassRejected asks for interval recording on a stream the
-// trace replay store would refuse to admit; the request must fail up front
-// with a structured 400 rather than silently returning no timeline.
-func TestTimelineBypassRejected(t *testing.T) {
-	// A budget beyond the store's admission threshold (store budget / 4
-	// at ~8 bytes per instruction) forces the generic no-replay path.
-	ts := httptest.NewServer(newServer(engine.New(0), 100_000_000))
-	t.Cleanup(ts.Close)
-	out := postJSON(t, ts.URL+"/v1/run?timeline=1",
-		`{"benchmark":"applu","instructions":50000000}`, http.StatusBadRequest)
-	msg, _ := out["error"].(string)
-	if !strings.Contains(msg, "timeline=1 unavailable") {
-		t.Fatalf("error %q does not explain the bypass", msg)
+// TestTimelineBypassServed asks for interval recording on a stream the
+// trace replay store bypasses. The lanes then read the generator directly,
+// and the flight recorder runs there as on the replay path: the request
+// succeeds, its timeline re-aggregates exactly to the final counters, and
+// it equals the timeline of the same run replayed from the store.
+func TestTimelineBypassServed(t *testing.T) {
+	const body = `{"benchmark":"applu","instructions":200000,` +
+		`"cache":{"dri":{"missBound":256,"sizeBoundBytes":1024}}}`
+	type runResp struct {
+		Result   resultSummary    `json:"result"`
+		Timeline *timeline.Series `json:"timeline"`
+	}
+	run := func() runResp {
+		t.Helper()
+		ts := httptest.NewServer(newServer(engine.New(0), 1_000_000))
+		defer ts.Close()
+		resp, err := http.Post(ts.URL+"/v1/run?timeline=1", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /v1/run?timeline=1 = %d, want 200", resp.StatusCode)
+		}
+		var out runResp
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Timeline == nil || len(out.Timeline.Points) == 0 {
+			t.Fatal("timeline=1 response carries no timeline")
+		}
+		return out
+	}
+
+	st := trace.SharedStore()
+	st.SetBudget(0)
+	defer st.SetBudget(trace.DefaultStoreBudget)
+	before := st.Stats().Bypasses
+	bypassed := run()
+	if st.Stats().Bypasses == before {
+		t.Fatal("the run did not bypass the trace store")
+	}
+
+	var end, cycles, l1i, l2, l2FromI, mem uint64
+	for i, p := range bypassed.Timeline.Points {
+		if p.StartInstructions != end {
+			t.Fatalf("point %d starts at %d, want %d", i, p.StartInstructions, end)
+		}
+		end = p.EndInstructions
+		cycles += p.Cycles
+		l1i += p.L1IAccesses
+		l2 += p.L2Accesses
+		l2FromI += p.L2AccessesFromI
+		mem += p.MemAccesses
+	}
+	r := bypassed.Result
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"instructions", end, r.Instructions},
+		{"cycles", cycles, r.Cycles},
+		{"icache accesses", l1i, r.ICacheAccesses},
+		{"l2 accesses", l2, r.L2Accesses},
+		{"l2 accesses from i", l2FromI, r.L2AccessesFromI},
+		{"mem accesses", mem, r.MemAccesses},
+	} {
+		if c.got != c.want {
+			t.Errorf("Σ %s over the timeline = %d, final counter = %d", c.name, c.got, c.want)
+		}
+	}
+
+	st.SetBudget(trace.DefaultStoreBudget)
+	replayed := run()
+	if !reflect.DeepEqual(bypassed, replayed) {
+		t.Fatalf("bypassed run differs from the replayed run:\n  bypass %+v\n  replay %+v",
+			bypassed.Result, replayed.Result)
 	}
 }

@@ -113,7 +113,8 @@ type (
 	TraceStoreStats = trace.StoreStats
 	// LaneStats is a snapshot of the lane executor's process-wide counters:
 	// lock-step multi-lane passes run, the simulations they carried, the
-	// stream decode passes that saved, and store-bypass fallbacks.
+	// stream passes that saved, and store-bypass fallbacks (simulations
+	// whose lanes shared a generator pass instead of a replay decode).
 	LaneStats = sim.LaneStats
 	// EngineLaneStats counts an Engine's batch scheduler activity (lane
 	// groups formed, batches executed, decode passes saved); embedded in

@@ -53,8 +53,9 @@ func TestRunCtxAbortsFused(t *testing.T) {
 }
 
 // TestRunCtxAbortsMidRun cancels deterministically mid-stream (via a stream
-// wrapper, which also forces the generic loop) and asserts the run stops
-// within one chunk cadence of the cancellation point.
+// wrapper, which the lane executor reads through the isa.Chunked adapter)
+// and asserts the run stops within one chunk cadence of the cancellation
+// point.
 func TestRunCtxAbortsMidRun(t *testing.T) {
 	rep := recordBench(t, "gcc", 100_000)
 	h := testHierarchy()

@@ -171,15 +171,15 @@ type Pipeline struct {
 	bp   *bpred.Predictor
 	tick Ticker
 	// rec, when non-nil, is the interval flight recorder sampled by the
-	// fused loop and the lane executor (see lane.recSample). The generic
-	// interface loop ignores it — foreign memory models have no hierarchy
-	// to snapshot.
+	// lane executor (see lane.recSample) on every whole-system run, replayed
+	// or generated. The generic interface loop ignores it — foreign memory
+	// models have no hierarchy to snapshot.
 	rec *timeline.Recorder
 }
 
-// SetTimeline attaches an interval flight recorder to the pipeline's fused
-// loop (and its lane in RunLanes). A nil recorder — the default — costs
-// nothing: the only residue is one nil check per decoded chunk.
+// SetTimeline attaches an interval flight recorder to the pipeline's lane,
+// solo or in RunLanes. A nil recorder — the default — costs nothing: the
+// only residue is one nil check per decoded chunk.
 func (p *Pipeline) SetTimeline(rec *timeline.Recorder) { p.rec = rec }
 
 // New builds a pipeline over the given memory interfaces; ticker may be nil.
@@ -233,11 +233,13 @@ func putRings(r *rings) { ringPool.Put(r) }
 
 // Run consumes the stream to completion and returns timing results.
 //
-// When the stream is a replay cursor and the memory interfaces are one
-// concrete mem.Hierarchy (the whole-system simulation path), Run switches
-// to a fused loop whose stream and memory calls are direct — no interface
-// dispatch per instruction. Both loops implement the identical timing
-// model; TestFusedMatchesGeneric and the golden suites pin them together.
+// When the memory interfaces are one concrete mem.Hierarchy (the
+// whole-system simulation shape), Run is the one-lane case of the lane
+// executor (lanes.go): the stream is consumed a chunk at a time — natively
+// for replay cursors and generator streams, through isa.Chunked otherwise —
+// and the per-instruction memory calls dispatch directly. Foreign memory
+// models take runGeneric, the interface-dispatched copy of the same timing
+// model; TestFusedMatchesGeneric pins the two together.
 func (p *Pipeline) Run(stream isa.Stream) Result {
 	res, _ := p.RunCtx(context.Background(), stream)
 	return res
@@ -251,10 +253,9 @@ func (p *Pipeline) Run(stream isa.Stream) Result {
 // returned together with an error wrapping ErrAborted and the context's
 // cause; callers must discard the Result as unfinished.
 func (p *Pipeline) RunCtx(ctx context.Context, stream isa.Stream) (Result, error) {
-	if cur, ok := stream.(*isa.ReplayCursor); ok {
-		if h, ok := p.imem.(*mem.Hierarchy); ok && p.dmemIs(h) && p.tickIs(h) {
-			return p.runFused(ctx, cur, h)
-		}
+	if h, ok := p.imem.(*mem.Hierarchy); ok && p.dmemIs(h) && p.tickIs(h) {
+		out, err := RunLanesCtx(ctx, isa.Chunked(stream), []*Pipeline{p})
+		return out[0], err
 	}
 	return p.runGeneric(ctx, stream)
 }
@@ -265,7 +266,7 @@ func (p *Pipeline) dmemIs(h *mem.Hierarchy) bool {
 }
 
 // tickIs reports whether the ticker is absent or the same hierarchy, the
-// two shapes the fused loop handles.
+// two shapes the lane executor handles.
 func (p *Pipeline) tickIs(h *mem.Hierarchy) bool {
 	if p.tick == nil {
 		return true
@@ -274,10 +275,11 @@ func (p *Pipeline) tickIs(h *mem.Hierarchy) bool {
 	return ok && ht == h
 }
 
-// runGeneric is the interface-dispatched loop, used for foreign streams and
-// memory models. Cancellation is polled at the same 256-instruction cadence
-// as the fused loop's chunk boundaries; with a non-cancellable context the
-// poll compiles down to one never-taken branch per instruction.
+// runGeneric is the interface-dispatched loop, used only for foreign memory
+// models (anything but one *mem.Hierarchy). Cancellation is polled at the
+// same 256-instruction cadence as the lane executor's chunk boundaries;
+// with a non-cancellable context the poll compiles down to one never-taken
+// branch per instruction.
 //
 // NOTE: runGeneric and lane.step (lanes.go) must implement the identical
 // timing model line for line; any change to one must be mirrored in the
@@ -488,37 +490,4 @@ func (p *Pipeline) runGeneric(ctx context.Context, stream isa.Stream) (Result, e
 	res.Cycles = cmt
 	res.BPredStats = p.bp.Stats()
 	return res, nil
-}
-
-// runFused is runGeneric specialized to the whole-system simulation shape:
-// the stream is a replay cursor — consumed chunk-at-a-time into a flat
-// decoded buffer instead of one interface call per instruction — and
-// fetch/load/store/tick all resolve to one concrete mem.Hierarchy, so the
-// per-instruction calls dispatch directly instead of through interfaces. It
-// is the one-lane case of the lane executor (lanes.go): the stage advance
-// lives in lane.stepChunk, shared with RunLanes. Cancellation is checked
-// once per chunk, before the decode, so an abort never pays for another
-// decode-plus-step pass; a non-cancellable context skips the check.
-func (p *Pipeline) runFused(ctx context.Context, cur *isa.ReplayCursor, h *mem.Hierarchy) (Result, error) {
-	g := predLane{bp: p.bp}
-	ln := newLane(p.cfg, h, p.tick != nil, &g, p.rec)
-	done := ctx.Done()
-	var buf [laneChunk]isa.DecodedInstr
-	for {
-		if done != nil {
-			select {
-			case <-done:
-				res := ln.finish()
-				return res, abortErr(ctx, res.Instructions)
-			default:
-			}
-		}
-		n := cur.NextChunk(buf[:])
-		if n == 0 {
-			break
-		}
-		g.predictChunk(buf[:n])
-		ln.stepChunk(buf[:n])
-	}
-	return ln.finish(), nil
 }

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"context"
 	"testing"
 
 	"dricache/internal/bpred"
@@ -11,11 +12,12 @@ import (
 	"dricache/internal/trace"
 )
 
-// TestFusedMatchesGeneric pins the fused replay loop to the generic
-// interface loop: the same stream through the same system configuration
-// must yield bit-identical results whichever loop runs — the invariant
-// that keeps golden suites unchanged now that sim.Run takes the fused
-// path. Exercised across port counts and with/without DRI ticking.
+// TestFusedMatchesGeneric pins the lane executor, which runs every
+// whole-system simulation, to the generic interface loop kept for foreign
+// memory models: the same stream through the same system configuration
+// must yield bit-identical results whichever loop runs, and whether the
+// lane reads a replay cursor or the generator directly. Exercised across
+// port counts and with/without DRI ticking.
 func TestFusedMatchesGeneric(t *testing.T) {
 	prog, err := trace.ByName("gcc")
 	if err != nil {
@@ -51,38 +53,40 @@ func TestFusedMatchesGeneric(t *testing.T) {
 			if tc.mut != nil {
 				tc.mut(&cfg)
 			}
-			run := func(stream isa.Stream) (Result, mem.Stats, dri.Stats) {
-				h := mem.New(mem.DefaultConfig(tc.l1i))
-				p := New(cfg, h, h, bpred.New(bpred.DefaultConfig()), h)
-				r := p.Run(stream)
-				h.Finish(r.Cycles)
-				return r, h.Stats(), h.ICache().Stats()
-			}
-
 			cur := rep.Cursor()
-			fusedRes, fusedMem, fusedIC := run(&cur)
+			fusedRes, fusedMem, fusedIC := runWith(cfg, mem.DefaultConfig(tc.l1i), &cur, false)
+			genRes, genMem, genIC := runWith(cfg, mem.DefaultConfig(tc.l1i), prog.Stream(n), true)
+			laneGenRes, laneGenMem, laneGenIC := runWith(cfg, mem.DefaultConfig(tc.l1i), prog.Stream(n), false)
 
-			// The generic loop via a non-cursor stream over the identical
-			// instructions.
-			var instrs []isa.Instr
-			var ins isa.Instr
-			c2 := rep.Cursor()
-			for c2.Next(&ins) {
-				instrs = append(instrs, ins)
+			if fusedRes != genRes || fusedRes != laneGenRes {
+				t.Errorf("cpu.Result diverged:\n  replay lane    %+v\n  generic        %+v\n  generator lane %+v",
+					fusedRes, genRes, laneGenRes)
 			}
-			genRes, genMem, genIC := run(&isa.SliceStream{Instrs: instrs})
-
-			if fusedRes != genRes {
-				t.Errorf("cpu.Result diverged:\n  fused   %+v\n  generic %+v", fusedRes, genRes)
+			if fusedMem != genMem || fusedMem != laneGenMem {
+				t.Errorf("mem.Stats diverged:\n  replay lane    %+v\n  generic        %+v\n  generator lane %+v",
+					fusedMem, genMem, laneGenMem)
 			}
-			if fusedMem != genMem {
-				t.Errorf("mem.Stats diverged:\n  fused   %+v\n  generic %+v", fusedMem, genMem)
-			}
-			if fusedIC != genIC {
-				t.Errorf("dri.Stats diverged:\n  fused   %+v\n  generic %+v", fusedIC, genIC)
+			if fusedIC != genIC || fusedIC != laneGenIC {
+				t.Errorf("dri.Stats diverged:\n  replay lane    %+v\n  generic        %+v\n  generator lane %+v",
+					fusedIC, genIC, laneGenIC)
 			}
 		})
 	}
+}
+
+// runWith simulates stream on a fresh whole-system hierarchy, through the
+// lane executor (Run) or, with generic set, through runGeneric directly.
+func runWith(cfg Config, memCfg mem.Config, stream isa.Stream, generic bool) (Result, mem.Stats, dri.Stats) {
+	h := mem.New(memCfg)
+	p := New(cfg, h, h, bpred.New(bpred.DefaultConfig()), h)
+	var r Result
+	if generic {
+		r, _ = p.runGeneric(context.Background(), stream)
+	} else {
+		r = p.Run(stream)
+	}
+	h.Finish(r.Cycles)
+	return r, h.Stats(), h.ICache().Stats()
 }
 
 // TestFusedMemoMatchesGeneric pins the memoized fused loop — the lane fast
@@ -108,25 +112,10 @@ func TestFusedMemoMatchesGeneric(t *testing.T) {
 			if !exact {
 				t.Fatal("recording inexact")
 			}
-			run := func(stream isa.Stream) (Result, mem.Stats, dri.Stats) {
-				h := mem.New(memCfg)
-				p := New(DefaultConfig(), h, h, bpred.New(bpred.DefaultConfig()), h)
-				r := p.Run(stream)
-				h.Finish(r.Cycles)
-				return r, h.Stats(), h.ICache().Stats()
-			}
-
 			cur := rep.Cursor()
-			fusedRes, fusedMem, fusedIC := run(&cur)
+			fusedRes, fusedMem, fusedIC := runWith(DefaultConfig(), memCfg, &cur, false)
 			totalMemoHits += fusedIC.MemoHits
-
-			var instrs []isa.Instr
-			var ins isa.Instr
-			c2 := rep.Cursor()
-			for c2.Next(&ins) {
-				instrs = append(instrs, ins)
-			}
-			genRes, genMem, genIC := run(&isa.SliceStream{Instrs: instrs})
+			genRes, genMem, genIC := runWith(DefaultConfig(), memCfg, b.Stream(n), true)
 
 			if fusedRes != genRes {
 				t.Errorf("cpu.Result diverged:\n  fused   %+v\n  generic %+v", fusedRes, genRes)

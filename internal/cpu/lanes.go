@@ -2,10 +2,11 @@
 // whole-system loop, extracted into a reusable lane so that N independent
 // simulations of the *same* instruction stream can share a single decode
 // pass. A sweep evaluates one benchmark across many cache/policy
-// configurations; replay-decoding the stream once and stepping every lane
-// lock-step removes the per-configuration decode (and, for lanes with equal
-// predictor configurations, the branch-predictor walk) from the sweep's
-// critical path while keeping every lane bit-identical to running alone.
+// configurations; decoding (or, when the trace store bypasses the stream,
+// generating) the stream once and stepping every lane lock-step removes
+// the per-configuration decode (and, for lanes with equal predictor
+// configurations, the branch-predictor walk) from the sweep's critical
+// path while keeping every lane bit-identical to running alone.
 package cpu
 
 import (
@@ -72,9 +73,8 @@ func (g *predLane) predictChunk(buf []isa.DecodedInstr) {
 
 // lane is the complete per-simulation timing state of one configuration:
 // stage rings, dataflow scoreboard, fetch/commit cursors, and the lane's
-// own memory hierarchy. One lane advanced by step over a decoded stream is
-// the fused loop of Pipeline.Run; N lanes advanced lock-step share the
-// decode.
+// own memory hierarchy. One lane advanced by stepChunk over a decoded
+// stream is Pipeline.Run; N lanes advanced lock-step share the decode.
 type lane struct {
 	cfg  Config
 	h    *mem.Hierarchy
@@ -163,10 +163,10 @@ func newLane(cfg Config, h *mem.Hierarchy, tick bool, pred *predLane, rec *timel
 
 // stepChunk advances the lane by one decoded chunk. The lane's predLane
 // must already hold the chunk's prediction outcomes (predictChunk over the
-// same buf). Per-instruction, e.Seq is the replay cursor's free
-// PC-sequentiality signal (isa.DecodedInstr.Seq); when the PC is
-// additionally not block-aligned, the instruction provably shares the
-// previous instruction's fetch block, so the block compare (and any i-cache
+// same buf). Per-instruction, e.Seq is the chunk source's PC-sequentiality
+// signal (isa.DecodedInstr.Seq); when the PC is additionally not
+// block-aligned, the instruction provably shares the previous
+// instruction's fetch block, so the block compare (and any i-cache
 // traffic) is skipped without consulting curBlock. A constant-false Seq is
 // always correct — it is purely an accelerator. The lane's timing state is
 // staged into locals for the whole chunk, so the per-instruction stage
@@ -390,8 +390,9 @@ func laneFor(p *Pipeline, pred *predLane) *lane {
 	return newLane(p.cfg, h, p.tick != nil, pred, p.rec)
 }
 
-// RunLanes consumes the replay cursor once and advances one lane per
-// pipeline in lock-step, returning the per-lane results in input order.
+// RunLanes consumes the chunk source once — a replay cursor, a generator
+// stream, or any isa.Chunked stream — and advances one lane per pipeline in
+// lock-step, returning the per-lane results in input order.
 // Each lane owns its pipeline timing state and memory hierarchy, so every
 // result is bit-identical to running that pipeline alone over the same
 // stream; the lanes share only the immutable decoded instruction values.
@@ -402,8 +403,8 @@ func laneFor(p *Pipeline, pred *predLane) *lane {
 // solo run would compute. Every pipeline must be freshly constructed — a
 // predictor that has already consumed instructions would diverge from its
 // group.
-func RunLanes(cur *isa.ReplayCursor, pipes []*Pipeline) []Result {
-	out, _ := RunLanesCtx(context.Background(), cur, pipes)
+func RunLanes(src isa.ChunkSource, pipes []*Pipeline) []Result {
+	out, _ := RunLanesCtx(context.Background(), src, pipes)
 	return out
 }
 
@@ -413,7 +414,7 @@ func RunLanes(cur *isa.ReplayCursor, pipes []*Pipeline) []Result {
 // On cancellation every lane is finished (partial results, rings returned
 // to the pool) and the error wraps ErrAborted with the context's cause;
 // the partial results must be discarded.
-func RunLanesCtx(ctx context.Context, cur *isa.ReplayCursor, pipes []*Pipeline) ([]Result, error) {
+func RunLanesCtx(ctx context.Context, src isa.ChunkSource, pipes []*Pipeline) ([]Result, error) {
 	if len(pipes) == 0 {
 		return nil, nil
 	}
@@ -447,7 +448,7 @@ func RunLanesCtx(ctx context.Context, cur *isa.ReplayCursor, pipes []*Pipeline) 
 			default:
 			}
 		}
-		n := cur.NextChunk(buf[:])
+		n := src.NextChunk(buf[:])
 		if n == 0 {
 			break
 		}

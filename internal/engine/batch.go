@@ -214,7 +214,7 @@ func (e *Engine) RunManyCtx(ctx context.Context, reqs []Request) ([]sim.Result, 
 	// still have work after cache and persistence resolution); batch and
 	// lane execution (and the decode passes they save) are counted when
 	// each batch completes, because only the executor knows whether a batch
-	// really shared one decode pass or fell back to sequential runs.
+	// really shared one stream pass.
 	if len(batches) > 0 {
 		e.mu.Lock()
 		e.laneGroups += uint64(nonEmpty)

@@ -68,12 +68,13 @@ type LaneStats struct {
 	// Groups counts lane groups formed (distinct (benchmark, budget)
 	// streams among simulations that actually had to run).
 	Groups uint64
-	// Batches counts lane batches executed (one stream decode each).
+	// Batches counts lane batches executed (one stream pass each).
 	Batches uint64
 	// Lanes counts the simulations those batches carried.
 	Lanes uint64
-	// DecodeSaved counts stream decode passes avoided versus sequential
-	// execution: Lanes − Batches.
+	// DecodeSaved counts stream passes avoided versus sequential
+	// execution: Lanes − Batches. A pass is a replay decode, or a
+	// generator pass for a stream the trace store bypasses.
 	DecodeSaved uint64
 	// LanesPerBatch is the current lane-partition limit (0 = automatic).
 	LanesPerBatch int
@@ -175,9 +176,10 @@ type Engine struct {
 	// runFn executes one simulation and runLanesFn one lane batch; swapped
 	// together by tests (setRunFn) to count and stall executions. Default
 	// to sim.RunCtxE / sim.RunLanesNotedCtx. runLanesFn's bool result
-	// reports whether the batch actually shared one decode pass — false on
-	// the trace-store-bypass sequential fallback, where no decode saving
-	// may be credited. A non-nil error means the run aborted on context
+	// reports whether the batch actually shared one stream pass (a replay
+	// decode, or a generator pass when the trace store bypasses the
+	// stream) — false for a one-lane batch, where no saving may be
+	// credited. A non-nil error means the run aborted on context
 	// cancellation and nothing may be cached or counted.
 	runFn      func(context.Context, sim.Config, trace.Program) (sim.Result, error)
 	runLanesFn func(context.Context, []sim.Config, trace.Program) ([]sim.Result, bool, error)

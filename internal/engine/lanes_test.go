@@ -184,13 +184,14 @@ func TestRunManyPanicPoisonsBatch(t *testing.T) {
 	}
 }
 
-// TestRunManyStoreBypassNoDecodeSaved is the regression test for the
-// trace-store-bypass accounting bug: with the store's budget at zero,
-// sim.RunLanes falls back to sequential execution, so the engine must not
-// credit decode passes saved — while the batches and lanes it scheduled
-// (and per-request hit/dedup accounting, including an in-call duplicate
-// joining mid-batch) stay exactly as on the lane path.
-func TestRunManyStoreBypassNoDecodeSaved(t *testing.T) {
+// TestRunManyStoreBypassDecodeSaved pins the engine's accounting on the
+// trace-store-bypass path: with the store's budget at zero, sim.RunLanes
+// runs each batch over one shared generator pass, so the engine credits
+// the generator passes saved exactly as it credits replay decodes saved —
+// while the batches and lanes it scheduled (and per-request hit/dedup
+// accounting, including an in-call duplicate joining mid-batch) stay
+// exactly as on the replay path.
+func TestRunManyStoreBypassDecodeSaved(t *testing.T) {
 	st := trace.SharedStore()
 	st.SetBudget(0)
 	defer st.SetBudget(trace.DefaultStoreBudget)
@@ -213,9 +214,12 @@ func TestRunManyStoreBypassNoDecodeSaved(t *testing.T) {
 		}
 	}
 
+	// Two workers split the three claims into batches of two and one; the
+	// two-lane batch shares one generator pass, the solo batch saves none.
 	s := e.Stats()
-	if s.Lanes.DecodeSaved != 0 {
-		t.Errorf("DecodeSaved = %d on the store-bypass fallback, want 0", s.Lanes.DecodeSaved)
+	if s.Lanes.Batches != 2 || s.Lanes.DecodeSaved != 1 {
+		t.Errorf("batches/DecodeSaved = %d/%d on the store-bypass path, want 2/1",
+			s.Lanes.Batches, s.Lanes.DecodeSaved)
 	}
 	if s.Lanes.Lanes != 3 {
 		t.Errorf("lanes = %d, want 3 (duplicate must not be double-counted)", s.Lanes.Lanes)
@@ -224,8 +228,8 @@ func TestRunManyStoreBypassNoDecodeSaved(t *testing.T) {
 		t.Errorf("misses/deduped = %d/%d, want 3/1", s.Misses, s.Deduped)
 	}
 
-	// Restore the store and rerun fresh requests: now the batch really
-	// shares one decode pass and the credit returns.
+	// Restore the store and rerun fresh requests on one worker: one batch
+	// shares one replay decode, credited the same way.
 	st.SetBudget(trace.DefaultStoreBudget)
 	e2 := New(1)
 	e2.RunMany(reqs[:3])

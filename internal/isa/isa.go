@@ -97,6 +97,45 @@ type Stream interface {
 	Next(ins *Instr) bool
 }
 
+// ChunkSource supplies decoded instructions in program order, a chunk at a
+// time: NextChunk fills up to len(buf) entries and returns how many it
+// filled, 0 at end of stream. The simulator's lane executor consumes every
+// stream through this interface; *ReplayCursor and the trace generator
+// implement it natively, and Chunked adapts any other Stream.
+type ChunkSource interface {
+	NextChunk(buf []DecodedInstr) int
+}
+
+// Chunked returns s as a ChunkSource: s itself when it implements the
+// interface, otherwise an adapter that decodes s one Next call per
+// instruction. The adapter leaves DecodedInstr.Seq false, which is always
+// correct (Seq only enables a same-fetch-block shortcut).
+func Chunked(s Stream) ChunkSource {
+	if cs, ok := s.(ChunkSource); ok {
+		return cs
+	}
+	return &streamChunks{s: s}
+}
+
+type streamChunks struct {
+	s   Stream
+	ins Instr
+}
+
+func (c *streamChunks) NextChunk(buf []DecodedInstr) int {
+	n := 0
+	for n < len(buf) && c.s.Next(&c.ins) {
+		in := &c.ins
+		buf[n] = DecodedInstr{
+			PC: in.PC, MemAddr: in.MemAddr, Target: in.Target,
+			Cls: in.Class, Taken: in.Taken,
+			S1: in.Src1, S2: in.Src2, Dst: in.Dst,
+		}
+		n++
+	}
+	return n
+}
+
 // SliceStream adapts a slice of instructions to the Stream interface
 // (used by tests and microbenchmarks).
 type SliceStream struct {

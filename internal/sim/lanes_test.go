@@ -71,9 +71,10 @@ func TestRunLanesMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunLanesStoreBypassFallback checks the no-shared-decode path: when
-// the trace store cannot hold the stream, RunLanes runs the configurations
-// sequentially (counted as fallbacks) and still matches per-config runs.
+// TestRunLanesStoreBypassFallback checks the store-bypass path: when the
+// trace store cannot hold the stream, RunLanes runs every configuration
+// over one shared generator pass — one batch, counted as fallbacks, with
+// len(cfgs)−1 stream passes saved — and still matches per-config runs.
 func TestRunLanesStoreBypassFallback(t *testing.T) {
 	st := trace.SharedStore()
 	st.SetBudget(0)
@@ -89,12 +90,18 @@ func TestRunLanesStoreBypassFallback(t *testing.T) {
 		t.Errorf("fallbacks advanced by %d, want %d",
 			after.Fallbacks-before.Fallbacks, len(cfgs))
 	}
-	if after.Batches != before.Batches {
-		t.Errorf("batches advanced on the fallback path")
+	if after.Batches != before.Batches+1 {
+		t.Errorf("batches advanced by %d on the bypass path, want 1", after.Batches-before.Batches)
+	}
+	if after.Lanes != before.Lanes+uint64(len(cfgs)) {
+		t.Errorf("lanes advanced by %d, want %d", after.Lanes-before.Lanes, len(cfgs))
+	}
+	if saved := after.DecodeSaved - before.DecodeSaved; saved != uint64(len(cfgs)-1) {
+		t.Errorf("DecodeSaved advanced by %d, want %d generator passes saved", saved, len(cfgs)-1)
 	}
 	for i, c := range cfgs {
 		if want := Run(c, p); !reflect.DeepEqual(got[i], want) {
-			t.Errorf("fallback lane %d diverges from sequential run", i)
+			t.Errorf("bypass lane %d diverges from sequential run", i)
 		}
 	}
 }

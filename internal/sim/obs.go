@@ -91,15 +91,15 @@ func RegisterMetrics(r *obs.Registry) {
 		return func() float64 { return float64(f(ReadLaneStats())) }
 	}
 	r.NewCounterFunc("sim_lane_batches_total",
-		"Multi-lane executions (one shared decode pass each).",
+		"Multi-lane executions (one shared stream pass each).",
 		lane(func(s LaneStats) uint64 { return s.Batches }))
 	r.NewCounterFunc("sim_lane_lanes_total",
 		"Simulations carried by multi-lane executions.",
 		lane(func(s LaneStats) uint64 { return s.Lanes }))
 	r.NewCounterFunc("sim_lane_decode_saved_total",
-		"Stream decode passes avoided versus sequential execution.",
+		"Stream passes (replay decodes or generator passes) avoided versus sequential execution.",
 		lane(func(s LaneStats) uint64 { return s.DecodeSaved }))
 	r.NewCounterFunc("sim_lane_fallbacks_total",
-		"RunLanes simulations that fell back to sequential execution.",
+		"RunLanes simulations whose stream the trace store bypassed (sharing one generator pass).",
 		lane(func(s LaneStats) uint64 { return s.Fallbacks }))
 }

@@ -15,7 +15,6 @@ import (
 	"dricache/internal/dri"
 	"dricache/internal/energy"
 	"dricache/internal/mem"
-	"dricache/internal/obs"
 	"dricache/internal/policy"
 	"dricache/internal/timeline"
 	"dricache/internal/trace"
@@ -133,10 +132,9 @@ type Result struct {
 	L2PolicyStats  policy.Stats
 
 	// Timeline is the per-interval flight-recorder series; nil unless
-	// Config.Timeline.Enabled and the run went through an instrumented
-	// executor (the fused loop or the lane executor — the generic
-	// interface loop, used when the trace store bypasses a stream, has no
-	// hierarchy to sample).
+	// Config.Timeline.Enabled. Every run records it, whether its stream was
+	// replayed from the trace store or generated because the store
+	// bypassed it.
 	Timeline *timeline.Series
 }
 
@@ -149,9 +147,10 @@ func (r Result) MissRate() float64 { return r.ICache.MissRate() }
 // first run of a (benchmark, budget) pair records the generator stream
 // into a compact replay encoding, and every later run — any configuration,
 // any caller — replays it through a zero-allocation cursor instead of
-// paying per-instruction generation again. Replay is bit-identical to
-// generation (guarded by the trace property suite), so results do not
-// depend on store state.
+// paying per-instruction generation again. A stream the store bypasses is
+// read straight from the generator. Replay is bit-identical to generation
+// (guarded by the trace property suite), so results do not depend on store
+// state.
 func Run(cfg Config, prog trace.Program) Result {
 	return RunCtx(context.Background(), cfg, prog)
 }
@@ -173,13 +172,6 @@ func RunCtx(ctx context.Context, cfg Config, prog trace.Program) Result {
 // chunk boundary and RunCtxE returns a zero Result plus an error wrapping
 // cpu.ErrAborted and the cancellation cause. Aborted runs are never
 // assembled or counted in the process-wide simulation telemetry.
-// abortedBeforeStart is the abort error for work whose context was already
-// cancelled before its simulation started (zero instructions run). It wraps
-// cpu.ErrAborted so callers classify it like a mid-run abort.
-func abortedBeforeStart(ctx context.Context) error {
-	return fmt.Errorf("%w before start: %w", cpu.ErrAborted, context.Cause(ctx))
-}
-
 func RunCtxE(ctx context.Context, cfg Config, prog trace.Program) (Result, error) {
 	// Check before any stream recording or hierarchy setup: a run queued
 	// behind a cancelled batch must abort in microseconds, not after paying
@@ -187,35 +179,16 @@ func RunCtxE(ctx context.Context, cfg Config, prog trace.Program) (Result, error
 	if cerr := ctx.Err(); cerr != nil {
 		return Result{}, abortedBeforeStart(ctx)
 	}
-	var (
-		res Result
-		err error
-	)
-	pprof.Do(ctx, pprof.Labels("benchmark", prog.Name, "policy", policyLabel(cfg)),
-		func(ctx context.Context) {
-			h := acquireHierarchy(cfg.Mem)
-			bp := bpred.New(cfg.Bpred)
-			pipe := cpu.New(cfg.CPU, h, h, bp, h)
-			rec := newRecorder(ctx, cfg)
-			pipe.SetTimeline(rec)
-			_, sp := obs.StartSpan(ctx, "stream_decode")
-			stream := trace.StreamFor(prog, cfg.Instructions)
-			sp.End()
-			_, sp = obs.StartSpan(ctx, "pipeline")
-			var cpuRes cpu.Result
-			cpuRes, err = pipe.RunCtx(ctx, stream)
-			sp.End()
-			if err != nil {
-				releaseHierarchy(cfg.Mem, h)
-				return
-			}
-			h.Finish(cpuRes.Cycles)
-			_, sp = obs.StartSpan(ctx, "assemble")
-			res = assemble(cfg, prog, cpuRes, h, rec)
-			sp.End()
-			releaseHierarchy(cfg.Mem, h)
-		})
-	return res, err
+	out, _, err := runPass(ctx, []Config{cfg}, prog,
+		pprof.Labels("benchmark", prog.Name, "policy", policyLabel(cfg)))
+	return out[0], err
+}
+
+// abortedBeforeStart is the abort error for work whose context was already
+// cancelled before its simulation started (zero instructions run). It wraps
+// cpu.ErrAborted so callers classify it like a mid-run abort.
+func abortedBeforeStart(ctx context.Context) error {
+	return fmt.Errorf("%w before start: %w", cpu.ErrAborted, context.Cause(ctx))
 }
 
 // policyLabel names the effective L1 i-cache leakage scheme of cfg for

@@ -221,22 +221,6 @@ func (s *Store) Replay(p Program, totalInstrs uint64) *isa.Replay {
 	return s.replay(p, totalInstrs)
 }
 
-// WouldBypass reports whether a request for (p, totalInstrs) would skip
-// the store: no completed or in-flight recording exists and the admission
-// estimate says a new one could not fit. Callers that need replay-path
-// machinery (the interval flight recorder only runs in the fused/lane
-// executors) can use this to reject a request up front instead of
-// silently degrading.
-func (s *Store) WouldBypass(p Program, totalInstrs uint64) bool {
-	key := keyFor(p, totalInstrs)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.entries[key]; ok {
-		return false
-	}
-	return s.budget <= 0 || int64(totalInstrs)*estBytesPerInstr > s.budget/admitDivisor
-}
-
 // admitDivisor bounds a single recording to this fraction of the budget:
 // admitting near-budget-sized streams would let a handful of outsized
 // requests continually evict each other's (and everyone else's) entries,

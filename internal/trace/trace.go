@@ -202,7 +202,7 @@ func (p Program) Stream(totalInstrs uint64) isa.Stream {
 	if err := p.Check(); err != nil {
 		panic(err)
 	}
-	g := &gen{prog: p, remaining: totalInstrs, rng: xrand.New(p.Seed)}
+	g := &gen{prog: p, remaining: totalInstrs, rng: xrand.New(p.Seed), prevPC: ^uint64(isa.InstrBytes - 1)}
 	g.buildSchedule(totalInstrs)
 	g.enterPhase(0)
 	return g
@@ -252,11 +252,14 @@ type gen struct {
 	retTo     uint64 // return address once the loop ends
 
 	// Pending control transfer to emit before the next loop.
-	pending    [2]isa.Instr
+	pending    [2]isa.DecodedInstr
 	pendingLen int
 	pendingPos int
 
 	pc uint64
+	// prevPC is the PC of the last emitted instruction (−InstrBytes before
+	// the first), from which each instruction's Seq flag is derived.
+	prevPC uint64
 
 	// Register dataflow cursors (integer and FP windows).
 	intCursor uint8
@@ -361,16 +364,16 @@ func (g *gen) nextLoop() {
 	g.viaCall = g.rng.Float64() < ph.CallFrac
 	callSite := g.pc
 	if g.viaCall {
-		g.pending[0] = isa.Instr{
-			PC: callSite, Class: isa.Call, Target: g.loopStart,
-			Src1: isa.NoReg, Src2: isa.NoReg, Dst: isa.NoReg,
+		g.pending[0] = isa.DecodedInstr{
+			PC: callSite, Cls: isa.Call, Target: g.loopStart,
+			S1: isa.NoReg, S2: isa.NoReg, Dst: isa.NoReg,
 		}
 		g.retTo = callSite + isa.InstrBytes
 		g.pendingLen = 1
 	} else if g.loopStart != callSite+isa.InstrBytes {
-		g.pending[0] = isa.Instr{
-			PC: callSite, Class: isa.Jump, Target: g.loopStart,
-			Src1: isa.NoReg, Src2: isa.NoReg, Dst: isa.NoReg,
+		g.pending[0] = isa.DecodedInstr{
+			PC: callSite, Cls: isa.Jump, Target: g.loopStart,
+			S1: isa.NoReg, S2: isa.NoReg, Dst: isa.NoReg,
 		}
 		g.pendingLen = 1
 	} else {
@@ -436,6 +439,41 @@ func (g *gen) memAddr() uint64 {
 
 // Next implements isa.Stream.
 func (g *gen) Next(ins *isa.Instr) bool {
+	var e isa.DecodedInstr
+	if !g.fill(&e) {
+		return false
+	}
+	g.prevPC = e.PC
+	*ins = isa.Instr{
+		PC: e.PC, MemAddr: e.MemAddr, Target: e.Target,
+		Class: e.Cls, Taken: e.Taken,
+		Src1: e.S1, Src2: e.S2, Dst: e.Dst,
+	}
+	return true
+}
+
+// NextChunk implements isa.ChunkSource: the generated instructions are
+// written straight into buf, field for field what recording the stream and
+// decoding it with isa.ReplayCursor.NextChunk would produce — Seq included,
+// set by the recorder's rule (PC == previous PC + InstrBytes) — so the lane
+// executor runs a bypassed stream exactly as it runs a replayed one.
+func (g *gen) NextChunk(buf []isa.DecodedInstr) int {
+	n := 0
+	for n < len(buf) {
+		e := &buf[n]
+		if !g.fill(e) {
+			break
+		}
+		e.Seq = e.PC == g.prevPC+isa.InstrBytes
+		g.prevPC = e.PC
+		n++
+	}
+	return n
+}
+
+// fill is the generator state machine: it writes the next instruction of
+// the stream into *e (Seq left false) and reports false at end of stream.
+func (g *gen) fill(e *isa.DecodedInstr) bool {
 	if g.remaining == 0 {
 		return false
 	}
@@ -452,7 +490,7 @@ func (g *gen) Next(ins *isa.Instr) bool {
 
 	// Pending control transfers (jump/call into a loop, ret out of one).
 	if g.pendingPos < g.pendingLen {
-		*ins = g.pending[g.pendingPos]
+		*e = g.pending[g.pendingPos]
 		g.pendingPos++
 		g.consume()
 		return true
@@ -460,9 +498,9 @@ func (g *gen) Next(ins *isa.Instr) bool {
 
 	if g.needRet {
 		g.needRet = false
-		*ins = isa.Instr{
-			PC: g.pc, Class: isa.Ret, Target: g.retTo,
-			Src1: isa.NoReg, Src2: isa.NoReg, Dst: isa.NoReg,
+		*e = isa.DecodedInstr{
+			PC: g.pc, Cls: isa.Ret, Target: g.retTo,
+			S1: isa.NoReg, S2: isa.NoReg, Dst: isa.NoReg,
 		}
 		g.pc = g.retTo
 		g.consume()
@@ -472,7 +510,7 @@ func (g *gen) Next(ins *isa.Instr) bool {
 	if !g.inLoop {
 		g.nextLoop()
 		if g.pendingPos < g.pendingLen {
-			*ins = g.pending[g.pendingPos]
+			*e = g.pending[g.pendingPos]
 			g.pendingPos++
 			g.consume()
 			return true
@@ -484,9 +522,9 @@ func (g *gen) Next(ins *isa.Instr) bool {
 	// Loop-back branch at the end of the body.
 	if g.bodyPos == g.bodyLen-1 {
 		taken := g.tripsLeft > 1
-		*ins = isa.Instr{
-			PC: g.pc, Class: isa.Branch, Taken: taken, Target: g.loopStart,
-			Src1: g.intSrc(), Src2: isa.NoReg, Dst: isa.NoReg,
+		*e = isa.DecodedInstr{
+			PC: g.pc, Cls: isa.Branch, Taken: taken, Target: g.loopStart,
+			S1: g.intSrc(), S2: isa.NoReg, Dst: isa.NoReg,
 		}
 		if taken {
 			g.tripsLeft--
@@ -510,9 +548,9 @@ func (g *gen) Next(ins *isa.Instr) bool {
 		if ph.CondNoise > 0 && g.rng.Float64() < ph.CondNoise {
 			taken = g.rng.Bool(0.5)
 		}
-		*ins = isa.Instr{
-			PC: g.pc, Class: isa.Branch, Taken: taken, Target: g.pc + 2*isa.InstrBytes,
-			Src1: g.intSrc(), Src2: isa.NoReg, Dst: isa.NoReg,
+		*e = isa.DecodedInstr{
+			PC: g.pc, Cls: isa.Branch, Taken: taken, Target: g.pc + 2*isa.InstrBytes,
+			S1: g.intSrc(), S2: isa.NoReg, Dst: isa.NoReg,
 		}
 		if taken {
 			// Short forward skip: consume an extra body slot.
@@ -533,14 +571,14 @@ func (g *gen) Next(ins *isa.Instr) bool {
 	r := g.rng.Float64()
 	switch {
 	case r < ph.LoadFrac:
-		*ins = isa.Instr{
-			PC: g.pc, Class: isa.Load, MemAddr: g.memAddr(),
-			Src1: g.intSrc(), Src2: isa.NoReg, Dst: g.intDst(),
+		*e = isa.DecodedInstr{
+			PC: g.pc, Cls: isa.Load, MemAddr: g.memAddr(),
+			S1: g.intSrc(), S2: isa.NoReg, Dst: g.intDst(),
 		}
 	case r < ph.LoadFrac+ph.StoreFrac:
-		*ins = isa.Instr{
-			PC: g.pc, Class: isa.Store, MemAddr: g.memAddr(),
-			Src1: g.intSrc(), Src2: g.intSrc(), Dst: isa.NoReg,
+		*e = isa.DecodedInstr{
+			PC: g.pc, Cls: isa.Store, MemAddr: g.memAddr(),
+			S1: g.intSrc(), S2: g.intSrc(), Dst: isa.NoReg,
 		}
 	case r < ph.LoadFrac+ph.StoreFrac+ph.FPFrac:
 		cls := isa.FPAdd
@@ -550,9 +588,9 @@ func (g *gen) Next(ins *isa.Instr) bool {
 		case 1, 2, 3:
 			cls = isa.FPMul
 		}
-		*ins = isa.Instr{
-			PC: g.pc, Class: cls,
-			Src1: g.fpSrc(), Src2: g.fpSrc(), Dst: g.fpDst(),
+		*e = isa.DecodedInstr{
+			PC: g.pc, Cls: cls,
+			S1: g.fpSrc(), S2: g.fpSrc(), Dst: g.fpDst(),
 		}
 	default:
 		cls := isa.IntALU
@@ -563,9 +601,9 @@ func (g *gen) Next(ins *isa.Instr) bool {
 		if g.rng.Bool(0.5) {
 			src2 = g.intSrc()
 		}
-		*ins = isa.Instr{
-			PC: g.pc, Class: cls,
-			Src1: g.intSrc(), Src2: src2, Dst: g.intDst(),
+		*e = isa.DecodedInstr{
+			PC: g.pc, Cls: cls,
+			S1: g.intSrc(), S2: src2, Dst: g.intDst(),
 		}
 	}
 	g.pc += isa.InstrBytes
