@@ -1,6 +1,7 @@
 // Benchmark harness: one testing.B target per table and figure of the
-// paper's evaluation, plus the DESIGN.md ablations and microbenchmarks of
-// the simulation substrates.
+// paper's evaluation, plus the ablations (throttling off, flush-on-resize,
+// way resizing; see internal/exp/sweeps.go) and microbenchmarks of the
+// simulation substrates.
 //
 // The figure benchmarks run the real experiment pipeline at the reduced
 // QuickScale (1M instructions, 50K-instruction sense intervals) over a
@@ -65,8 +66,7 @@ func sharedBase(b *testing.B) ([]exp.Fig3Row, *exp.Runner) {
 	return baseRows, r
 }
 
-// BenchmarkTable2 regenerates the paper's Table 2 from the circuit model
-// (E1 in DESIGN.md).
+// BenchmarkTable2 regenerates the paper's Table 2 from the circuit model.
 func BenchmarkTable2(b *testing.B) {
 	tech := circuit.Default018()
 	var standby float64
@@ -89,7 +89,7 @@ func fig3Once(progs []trace.Program) float64 {
 	return sum / float64(len(rows))
 }
 
-// BenchmarkFig3 runs the best-case energy-delay search (E2/E3) over the
+// BenchmarkFig3 runs the best-case energy-delay search over the
 // core set and reports the mean constrained relative ED. The trace replay
 // store is primed first, so this measures the warm-store sweep path every
 // production sweep after the first takes; BenchmarkFig3Bypass is the
@@ -424,7 +424,7 @@ func BenchmarkFullSystemSimulation(b *testing.B) {
 // even the block compare inside straight-line runs), so the aggregate
 // lane-instrs/s headline against BenchmarkLaneSweep's DRI lanes is the
 // memoized tag path's sweep-level speedup. The solo-instrs/s metric is the
-// single-configuration fused loop under the same policy, against
+// single-configuration lane under the same policy, against
 // BenchmarkFullSystemSimulation; memo-hit-share is the fraction of L1I
 // accesses the per-set link table served without a tag probe.
 func BenchmarkWayMemo(b *testing.B) {

@@ -1,6 +1,7 @@
 // Command experiments runs the complete evaluation — Table 2, Figures 3–6,
-// the §5.6 sweeps, the §5.2.1 energy ratios, and the DESIGN.md ablations —
-// and writes a markdown report suitable for EXPERIMENTS.md.
+// the §5.6 sweeps, the §5.2.1 energy ratios, and the ablations (throttling
+// off, flush-on-resize, way resizing) — and writes a markdown report that
+// sets each measured figure beside the paper's value.
 package main
 
 import (

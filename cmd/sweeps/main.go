@@ -1,8 +1,8 @@
 // Command sweeps regenerates the paper's §5.6 sensitivity studies: the
 // sense-interval length sweep (ED varies by <1% for all but go at paper
 // scale) and the divisibility comparison (4 and 8 are too coarse), plus
-// the DESIGN.md ablations: throttle on/off and resizing-tags vs
-// flush-on-resize.
+// two ablations of the controller's design choices: throttle on/off and
+// resizing-tags vs flush-on-resize.
 package main
 
 import (

@@ -24,7 +24,8 @@
 //		cmp.RelativeED, cmp.SlowdownPct)
 //
 // The cmd/ directory holds regenerators for every table and figure in the
-// paper's evaluation; EXPERIMENTS.md records paper-vs-measured results.
+// paper's evaluation; cmd/experiments writes them all into one report
+// beside the paper's values.
 package dricache
 
 import (

@@ -22,11 +22,12 @@ func BenchmarkPipelineSynthetic(b *testing.B) {
 		instrs = append(instrs, ins)
 	}
 	stream := &isa.SliceStream{Instrs: instrs}
+	h := perfect()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stream.Reset()
-		p := New(DefaultConfig(), &perfectIMem{}, &perfectDMem{}, nil, nil)
-		p.Run(stream)
+		h.Reset()
+		New(DefaultConfig(), h, h, nil, h).Run(stream)
 	}
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "instrs/s")
 }

@@ -30,8 +30,8 @@ func recordBench(t *testing.T, name string, n uint64) *isa.Replay {
 	return rep
 }
 
-// TestRunCtxAbortsFused: a pre-cancelled context stops the fused loop at
-// the first chunk boundary — before it consumes the stream — and the error
+// TestRunCtxAbortsFused: a pre-cancelled context stops the lane at the
+// first chunk boundary — before it consumes the stream — and the error
 // wraps both ErrAborted and the context cause.
 func TestRunCtxAbortsFused(t *testing.T) {
 	rep := recordBench(t, "gcc", 100_000)

@@ -17,8 +17,9 @@
 // instruction-level parallelism is bounded by true register dataflow. This
 // captures exactly what the paper's evaluation measures — the execution-time
 // cost of extra i-cache misses — at a small fraction of the cost of a
-// structural simulator. Wrong-path fetch is not modeled (fetch waits at a
-// mispredicted branch until it resolves), as noted in DESIGN.md.
+// structural simulator. Wrong-path fetch is not modeled: fetch waits at a
+// mispredicted branch until it resolves, so a mispredict costs its
+// resolution time plus RedirectPenalty and pollutes no cache.
 package cpu
 
 import (
@@ -46,30 +47,6 @@ func abortErr(ctx context.Context, instrs uint64) error {
 	return fmt.Errorf("%w after %d instructions: %w", ErrAborted, instrs, context.Cause(ctx))
 }
 
-// IMem is the instruction-fetch side of the memory hierarchy. FetchBlock is
-// called once per fetch-group transition with the instruction block address
-// and returns the added latency in cycles (0 for an L1 i-cache hit).
-type IMem interface {
-	FetchBlock(block uint64) (extraCycles uint64)
-}
-
-// DMem is the data side of the memory hierarchy. Load and Store perform the
-// behavioral access and return the added latency in cycles beyond the
-// 1-cycle L1 pipeline (0 for an L1 hit). Stores are buffered and do not
-// stall the pipeline; their latency is accounted inside the hierarchy.
-type DMem interface {
-	Load(addr uint64) (extraCycles uint64)
-	Store(addr uint64)
-}
-
-// Ticker receives instruction-progress callbacks for interval-based
-// machinery (the DRI i-cache's sense intervals). Advance is called in
-// batches with the number of instructions fetched since the last call and
-// the fetch-time cycle of the most recent one.
-type Ticker interface {
-	Advance(instrs, nowCycles uint64)
-}
-
 // Config describes the core (Table 1 defaults via DefaultConfig).
 type Config struct {
 	FetchWidth    int
@@ -89,7 +66,8 @@ type Config struct {
 	BlockShift uint
 	// Latency holds per-class execution latencies in cycles.
 	Latency [isa.NumClasses]uint64
-	// TickBatch is the instruction batch size for Ticker callbacks.
+	// TickBatch is the number of instructions between the pipeline's
+	// progress ticks to the hierarchy (mem.Hierarchy.Advance).
 	TickBatch uint64
 }
 
@@ -162,18 +140,17 @@ func (r Result) IPC() float64 {
 	return float64(r.Instructions) / float64(r.Cycles)
 }
 
-// Pipeline is a single-core timing model. It is not safe for concurrent
-// use; create one per simulation.
+// Pipeline is a single-core timing model over one memory hierarchy, which
+// serves instruction fetches, data accesses and the instruction-progress
+// ticks of its interval machinery (the DRI sense intervals). It is not safe
+// for concurrent use; create one per simulation.
 type Pipeline struct {
-	cfg  Config
-	imem IMem
-	dmem DMem
-	bp   *bpred.Predictor
-	tick Ticker
+	cfg Config
+	h   *mem.Hierarchy
+	bp  *bpred.Predictor
 	// rec, when non-nil, is the interval flight recorder sampled by the
-	// lane executor (see lane.recSample) on every whole-system run, replayed
-	// or generated. The generic interface loop ignores it — foreign memory
-	// models have no hierarchy to snapshot.
+	// lane executor (see lane.recSample) on every run, replayed or
+	// generated.
 	rec *timeline.Recorder
 }
 
@@ -182,16 +159,21 @@ type Pipeline struct {
 // only residue is one nil check per decoded chunk.
 func (p *Pipeline) SetTimeline(rec *timeline.Recorder) { p.rec = rec }
 
-// New builds a pipeline over the given memory interfaces; ticker may be nil.
-// It panics on an invalid configuration.
-func New(cfg Config, imem IMem, dmem DMem, bp *bpred.Predictor, ticker Ticker) *Pipeline {
+// New builds a pipeline over one memory hierarchy, passed once for each
+// role it plays: instruction fetch, data access and instruction-progress
+// ticks. It panics on an invalid configuration and unless all three are the
+// same non-nil hierarchy. A nil predictor gets the default one.
+func New(cfg Config, imem, dmem *mem.Hierarchy, bp *bpred.Predictor, tick *mem.Hierarchy) *Pipeline {
 	if err := cfg.Check(); err != nil {
 		panic(err)
+	}
+	if imem == nil || dmem != imem || tick != imem {
+		panic("cpu: New requires one non-nil mem.Hierarchy for fetch, data and ticks")
 	}
 	if bp == nil {
 		bp = bpred.New(bpred.DefaultConfig())
 	}
-	return &Pipeline{cfg: cfg, imem: imem, dmem: dmem, bp: bp, tick: ticker}
+	return &Pipeline{cfg: cfg, h: imem, bp: bp}
 }
 
 // Predictor exposes the branch predictor (for stats).
@@ -231,15 +213,10 @@ func getRings(cfg *Config) *rings {
 
 func putRings(r *rings) { ringPool.Put(r) }
 
-// Run consumes the stream to completion and returns timing results.
-//
-// When the memory interfaces are one concrete mem.Hierarchy (the
-// whole-system simulation shape), Run is the one-lane case of the lane
-// executor (lanes.go): the stream is consumed a chunk at a time — natively
-// for replay cursors and generator streams, through isa.Chunked otherwise —
-// and the per-instruction memory calls dispatch directly. Foreign memory
-// models take runGeneric, the interface-dispatched copy of the same timing
-// model; TestFusedMatchesGeneric pins the two together.
+// Run consumes the stream to completion and returns timing results. It is
+// the one-lane case of the lane executor (lanes.go): the stream is consumed
+// a chunk at a time, natively for replay cursors and generator streams and
+// through isa.Chunked otherwise.
 func (p *Pipeline) Run(stream isa.Stream) Result {
 	res, _ := p.RunCtx(context.Background(), stream)
 	return res
@@ -253,241 +230,6 @@ func (p *Pipeline) Run(stream isa.Stream) Result {
 // returned together with an error wrapping ErrAborted and the context's
 // cause; callers must discard the Result as unfinished.
 func (p *Pipeline) RunCtx(ctx context.Context, stream isa.Stream) (Result, error) {
-	if h, ok := p.imem.(*mem.Hierarchy); ok && p.dmemIs(h) && p.tickIs(h) {
-		out, err := RunLanesCtx(ctx, isa.Chunked(stream), []*Pipeline{p})
-		return out[0], err
-	}
-	return p.runGeneric(ctx, stream)
-}
-
-func (p *Pipeline) dmemIs(h *mem.Hierarchy) bool {
-	hd, ok := p.dmem.(*mem.Hierarchy)
-	return ok && hd == h
-}
-
-// tickIs reports whether the ticker is absent or the same hierarchy, the
-// two shapes the lane executor handles.
-func (p *Pipeline) tickIs(h *mem.Hierarchy) bool {
-	if p.tick == nil {
-		return true
-	}
-	ht, ok := p.tick.(*mem.Hierarchy)
-	return ok && ht == h
-}
-
-// runGeneric is the interface-dispatched loop, used only for foreign memory
-// models (anything but one *mem.Hierarchy). Cancellation is polled at the
-// same 256-instruction cadence as the lane executor's chunk boundaries;
-// with a non-cancellable context the poll compiles down to one never-taken
-// branch per instruction.
-//
-// NOTE: runGeneric and lane.step (lanes.go) must implement the identical
-// timing model line for line; any change to one must be mirrored in the
-// other (the lane copy differs only in its stream/memory/predictor call
-// sites).
-func (p *Pipeline) runGeneric(ctx context.Context, stream isa.Stream) (Result, error) {
-	cfg := p.cfg
-	rs := getRings(&cfg)
-	defer putRings(rs)
-	done := ctx.Done()
-	var (
-		res Result
-
-		// Sliding-window width rings for the in-order stages (their times
-		// are monotone, so "instruction i and i−W at least one cycle
-		// apart" enforces the width exactly): entry i%W holds the stage
-		// time of instruction i−W. Issue is out-of-order — younger
-		// independent instructions legitimately issue before stalled older
-		// ones — so no program-order window applies there; sustained issue
-		// throughput is already capped by the dispatch width.
-		fetchRing    = rs.fetch
-		dispatchRing = rs.dispatch
-		commitRing   = rs.commit
-		// Memory ports are modeled as earliest-available-port greedy
-		// assignment.
-		portAvail = rs.port
-
-		// Occupancy rings: commit time of instruction i−ROB (must have
-		// freed its entry before i can dispatch), and of memory op j−LSQ.
-		robRing = rs.rob
-		lsqRing = rs.lsq
-
-		// Ring cursors: each stage ring is walked with a wrapping index
-		// (slot i mod size) instead of per-instruction 64-bit modulos —
-		// six hardware divides per instruction otherwise.
-		fetchIdx, dispatchIdx, commitIdx, robIdx, lsqIdx int
-		// The base core has MemPorts == 1 or 2; skip the port scan when
-		// there is nothing to scan.
-		singlePort = cfg.MemPorts == 1
-
-		regReady [isa.RegCount]uint64
-
-		i        uint64 // instruction index
-		ft       uint64 // last fetch time (monotone)
-		cmt      uint64 // last commit time (monotone)
-		redirect uint64 // earliest fetch time after a redirect
-		curBlock = ^uint64(0)
-
-		tickAccum uint64
-		ins       isa.Instr
-	)
-
-	for stream.Next(&ins) {
-		if done != nil && i&(laneChunk-1) == 0 {
-			select {
-			case <-done:
-				res.Instructions = i
-				res.Cycles = cmt
-				res.BPredStats = p.bp.Stats()
-				return res, abortErr(ctx, i)
-			default:
-			}
-		}
-		// ---- Fetch ----
-		f := ft
-		if redirect > f {
-			f = redirect
-		}
-		if w := fetchRing[fetchIdx] + 1; w > f {
-			f = w
-		}
-		if block := ins.PC >> cfg.BlockShift; block != curBlock {
-			curBlock = block
-			res.FetchGroups++
-			if lat := p.imem.FetchBlock(block); lat > 0 {
-				f += lat
-				res.ICacheStalls += lat
-			}
-		}
-		fetchRing[fetchIdx] = f
-		ft = f
-
-		// ---- Dispatch (in-order, ROB occupancy) ----
-		d := f + cfg.FrontendDepth
-		if w := robRing[robIdx] + 1; w > d {
-			d = w
-		}
-		if w := dispatchRing[dispatchIdx] + 1; w > d {
-			d = w
-		}
-		isMem := ins.Class.IsMem()
-		if isMem {
-			if w := lsqRing[lsqIdx] + 1; w > d {
-				d = w
-			}
-		}
-		dispatchRing[dispatchIdx] = d
-
-		// ---- Issue (dataflow + memory ports) ----
-		is := d
-		if ins.Src1 != isa.NoReg {
-			if r := regReady[ins.Src1]; r > is {
-				is = r
-			}
-		}
-		if ins.Src2 != isa.NoReg {
-			if r := regReady[ins.Src2]; r > is {
-				is = r
-			}
-		}
-		if isMem {
-			// Earliest-available memory port.
-			best := 0
-			if !singlePort {
-				for p := 1; p < cfg.MemPorts; p++ {
-					if portAvail[p] < portAvail[best] {
-						best = p
-					}
-				}
-			}
-			if portAvail[best] > is {
-				is = portAvail[best]
-			}
-			portAvail[best] = is + 1
-		}
-
-		// ---- Execute/complete ----
-		ct := is + cfg.Latency[ins.Class]
-		switch ins.Class {
-		case isa.Load:
-			res.Loads++
-			ct += p.dmem.Load(ins.MemAddr)
-		case isa.Store:
-			res.Stores++
-			p.dmem.Store(ins.MemAddr)
-		case isa.Branch:
-			res.Branches++
-			if p.bp.PredictBranch(ins.PC, ins.Taken) {
-				res.Mispredicts++
-				redirect = ct + cfg.RedirectPenalty
-			} else if ins.Taken {
-				// Correctly predicted taken: target from BTB; a BTB miss
-				// redirects at execute like a mispredict.
-				if p.bp.PredictTarget(ins.PC, ins.Target) {
-					redirect = ct + cfg.RedirectPenalty
-				}
-			}
-		case isa.Jump:
-			if p.bp.PredictTarget(ins.PC, ins.Target) {
-				redirect = ct + cfg.RedirectPenalty
-			}
-		case isa.Call:
-			p.bp.Call(ins.PC + isa.InstrBytes)
-			if p.bp.PredictTarget(ins.PC, ins.Target) {
-				redirect = ct + cfg.RedirectPenalty
-			}
-		case isa.Ret:
-			if p.bp.Return(ins.Target) {
-				redirect = ct + cfg.RedirectPenalty
-			}
-		}
-		if ins.Dst != isa.NoReg {
-			regReady[ins.Dst] = ct
-		}
-
-		// ---- Commit (in-order) ----
-		c := ct + 1
-		if c <= cmt {
-			c = cmt
-		}
-		if w := commitRing[commitIdx] + 1; w > c {
-			c = w
-		}
-		commitRing[commitIdx] = c
-		robRing[robIdx] = c
-		if isMem {
-			lsqRing[lsqIdx] = c
-			if lsqIdx++; lsqIdx == cfg.LSQSize {
-				lsqIdx = 0
-			}
-		}
-		cmt = c
-
-		i++
-		if fetchIdx++; fetchIdx == cfg.FetchWidth {
-			fetchIdx = 0
-		}
-		if dispatchIdx++; dispatchIdx == cfg.DispatchWidth {
-			dispatchIdx = 0
-		}
-		if commitIdx++; commitIdx == cfg.CommitWidth {
-			commitIdx = 0
-		}
-		if robIdx++; robIdx == cfg.ROBSize {
-			robIdx = 0
-		}
-		tickAccum++
-		if p.tick != nil && tickAccum >= cfg.TickBatch {
-			p.tick.Advance(tickAccum, f)
-			tickAccum = 0
-		}
-	}
-	if p.tick != nil && tickAccum > 0 {
-		p.tick.Advance(tickAccum, ft)
-	}
-
-	res.Instructions = i
-	res.Cycles = cmt
-	res.BPredStats = p.bp.Stats()
-	return res, nil
+	out, err := RunLanesCtx(ctx, isa.Chunked(stream), []*Pipeline{p})
+	return out[0], err
 }

@@ -43,7 +43,7 @@ func TestCyclesBoundedQuick(t *testing.T) {
 	cfg := DefaultConfig()
 	f := func(seed uint64) bool {
 		const n = 3000
-		res := New(cfg, &perfectIMem{}, &perfectDMem{}, nil, nil).Run(randomStream(seed, n))
+		res := run(t, cfg, randomStream(seed, n), perfect())
 		if res.Instructions != n {
 			return false
 		}
@@ -65,8 +65,10 @@ func TestSlowerMemoryNeverSpeedsUpQuick(t *testing.T) {
 	f := func(seed uint64, latSeed uint8) bool {
 		const n = 2000
 		lat := uint64(latSeed % 50)
-		fast := New(cfg, &perfectIMem{}, &perfectDMem{}, nil, nil).Run(randomStream(seed, n))
-		slow := New(cfg, &perfectIMem{}, &slowDMem{lat: lat}, nil, nil).Run(randomStream(seed, n))
+		s := randomStream(seed, n)
+		fast := run(t, cfg, s, warmed(oneBlockL1D(memConfig(0)), s))
+		s.Reset()
+		slow := run(t, cfg, s, warmed(oneBlockL1D(memConfig(lat)), s))
 		return slow.Cycles >= fast.Cycles
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -83,8 +85,8 @@ func TestWiderMachineNeverSlowerQuick(t *testing.T) {
 	wide := DefaultConfig()
 	f := func(seed uint64) bool {
 		const n = 2000
-		rn := New(narrow, &perfectIMem{}, &perfectDMem{}, nil, nil).Run(randomStream(seed, n))
-		rw := New(wide, &perfectIMem{}, &perfectDMem{}, nil, nil).Run(randomStream(seed, n))
+		rn := run(t, narrow, randomStream(seed, n), perfect())
+		rw := run(t, wide, randomStream(seed, n), perfect())
 		return rw.Cycles <= rn.Cycles
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -92,21 +94,19 @@ func TestWiderMachineNeverSlowerQuick(t *testing.T) {
 	}
 }
 
-// TestTickBatchDoesNotChangeTiming: the Ticker batch size is a bookkeeping
-// knob and must not perturb cycle counts (only callback granularity).
+// TestTickBatchDoesNotChangeTiming: the tick batch size is a bookkeeping
+// knob and must not perturb cycle counts (only tick granularity).
 func TestTickBatchDoesNotChangeTiming(t *testing.T) {
 	prog, err := trace.ByName("li")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(batch uint64) Result {
+	runBatch := func(batch uint64) Result {
 		cfg := DefaultConfig()
 		cfg.TickBatch = batch
-		tick := &countTicker{}
-		p := New(cfg, &perfectIMem{}, &perfectDMem{}, nil, tick)
-		return p.Run(prog.Stream(100_000))
+		return run(t, cfg, prog.Stream(100_000), perfect())
 	}
-	a, b, c := run(1), run(64), run(4096)
+	a, b, c := runBatch(1), runBatch(64), runBatch(4096)
 	if a.Cycles != b.Cycles || b.Cycles != c.Cycles {
 		t.Fatalf("tick batch changed timing: %d / %d / %d", a.Cycles, b.Cycles, c.Cycles)
 	}
@@ -120,8 +120,7 @@ func TestCommitOrderMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(DefaultConfig(), &perfectIMem{}, &perfectDMem{}, nil, nil)
-	res := p.Run(prog.Stream(200_000))
+	res := run(t, DefaultConfig(), prog.Stream(200_000), perfect())
 	if res.Instructions != 200_000 {
 		t.Fatalf("retired %d of 200000", res.Instructions)
 	}

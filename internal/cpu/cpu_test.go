@@ -3,46 +3,48 @@ package cpu
 import (
 	"testing"
 
+	"dricache/internal/dri"
 	"dricache/internal/isa"
+	"dricache/internal/mem"
 	"dricache/internal/xrand"
 )
 
-// perfectIMem never misses.
-type perfectIMem struct{ accesses uint64 }
-
-func (m *perfectIMem) FetchBlock(block uint64) uint64 {
-	m.accesses++
-	return 0
+// memConfig is a small hierarchy whose every L1 miss costs exactly lat
+// cycles: the L2 charges lat and main memory is free, so lat 0 is a perfect
+// memory. The 128K direct-mapped i-cache holds every test stream's code.
+func memConfig(lat uint64) mem.Config {
+	c := mem.DefaultConfig(dri.Config{SizeBytes: 128 << 10, BlockBytes: 32, Assoc: 1, AddrBits: 32})
+	c.L2HitLatency = lat
+	c.MemLatencyBase, c.MemLatencyPer8B = 0, 0
+	return c
 }
 
-// slowIMem charges a fixed latency on every fetch-group transition.
-type slowIMem struct{ lat uint64 }
-
-func (m *slowIMem) FetchBlock(block uint64) uint64 { return m.lat }
-
-// perfectDMem never misses.
-type perfectDMem struct{ loads, stores uint64 }
-
-func (m *perfectDMem) Load(addr uint64) uint64 { m.loads++; return 0 }
-func (m *perfectDMem) Store(addr uint64)       { m.stores++ }
-
-// slowDMem charges a fixed latency on every load.
-type slowDMem struct{ lat uint64 }
-
-func (m *slowDMem) Load(addr uint64) uint64 { return m.lat }
-func (m *slowDMem) Store(addr uint64)       {}
-
-// countTicker records Advance calls.
-type countTicker struct {
-	instrs uint64
-	last   uint64
-	calls  int
+// oneBlockL1I shrinks the i-cache to one block, so every fetch-block
+// transition misses.
+func oneBlockL1I(c mem.Config) mem.Config {
+	c.L1I.SizeBytes = c.L1I.BlockBytes
+	return c
 }
 
-func (t *countTicker) Advance(instrs, now uint64) {
-	t.instrs += instrs
-	t.last = now
-	t.calls++
+// oneBlockL1D shrinks the d-cache to one block, so every access to a block
+// other than the last one touched misses.
+func oneBlockL1D(c mem.Config) mem.Config {
+	c.L1D.SizeBytes, c.L1D.Assoc = c.L1D.BlockBytes, 1
+	return c
+}
+
+// perfect returns a hierarchy that never charges a cycle.
+func perfect() *mem.Hierarchy { return mem.New(memConfig(0)) }
+
+// warmed returns a hierarchy over c with every fetch block of s already in
+// the i-cache, so a data-latency test sees a perfect i-cache whatever the
+// L2 latency.
+func warmed(c mem.Config, s *isa.SliceStream) *mem.Hierarchy {
+	h := mem.New(c)
+	for _, in := range s.Instrs {
+		h.FetchBlock(in.PC >> DefaultConfig().BlockShift)
+	}
+	return h
 }
 
 // independent builds n IntALU instructions with disjoint registers
@@ -74,16 +76,9 @@ func chain(n int) *isa.SliceStream {
 	return &isa.SliceStream{Instrs: ins}
 }
 
-func run(t *testing.T, cfg Config, s isa.Stream, im IMem, dm DMem) Result {
+func run(t *testing.T, cfg Config, s isa.Stream, h *mem.Hierarchy) Result {
 	t.Helper()
-	if im == nil {
-		im = &perfectIMem{}
-	}
-	if dm == nil {
-		dm = &perfectDMem{}
-	}
-	p := New(cfg, im, dm, nil, nil)
-	return p.Run(s)
+	return New(cfg, h, h, nil, h).Run(s)
 }
 
 func TestConfigCheck(t *testing.T) {
@@ -108,7 +103,7 @@ func TestConfigCheck(t *testing.T) {
 }
 
 func TestIndependentInstructionsReachWidth(t *testing.T) {
-	res := run(t, DefaultConfig(), independent(100000), nil, nil)
+	res := run(t, DefaultConfig(), independent(100000), perfect())
 	if res.Instructions != 100000 {
 		t.Fatalf("instructions = %d", res.Instructions)
 	}
@@ -119,7 +114,7 @@ func TestIndependentInstructionsReachWidth(t *testing.T) {
 }
 
 func TestDependenceChainSerializes(t *testing.T) {
-	res := run(t, DefaultConfig(), chain(50000), nil, nil)
+	res := run(t, DefaultConfig(), chain(50000), perfect())
 	// One-cycle ALU chain: one instruction per cycle regardless of width.
 	if ipc := res.IPC(); ipc < 0.95 || ipc > 1.05 {
 		t.Fatalf("chain IPC = %v, want ~1", ipc)
@@ -129,7 +124,7 @@ func TestDependenceChainSerializes(t *testing.T) {
 func TestNarrowMachineLimitsIPC(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FetchWidth, cfg.DispatchWidth, cfg.IssueWidth, cfg.CommitWidth = 2, 2, 2, 2
-	res := run(t, cfg, independent(40000), nil, nil)
+	res := run(t, cfg, independent(40000), perfect())
 	if ipc := res.IPC(); ipc > 2.01 {
 		t.Fatalf("2-wide IPC = %v, want <= 2", ipc)
 	}
@@ -141,7 +136,7 @@ func TestMulLatencyChain(t *testing.T) {
 	for i := range ins {
 		ins[i] = isa.Instr{PC: uint64(i * 4), Class: isa.IntMul, Src1: 1, Src2: isa.NoReg, Dst: 1}
 	}
-	res := run(t, DefaultConfig(), &isa.SliceStream{Instrs: ins}, nil, nil)
+	res := run(t, DefaultConfig(), &isa.SliceStream{Instrs: ins}, perfect())
 	// 3-cycle multiplies back to back: ~1/3 IPC.
 	if ipc := res.IPC(); ipc < 0.30 || ipc > 0.36 {
 		t.Fatalf("mul chain IPC = %v, want ~0.33", ipc)
@@ -149,8 +144,8 @@ func TestMulLatencyChain(t *testing.T) {
 }
 
 func TestICacheMissesStallFetch(t *testing.T) {
-	fast := run(t, DefaultConfig(), independent(80000), &perfectIMem{}, nil)
-	slow := run(t, DefaultConfig(), independent(80000), &slowIMem{lat: 12}, nil)
+	fast := run(t, DefaultConfig(), independent(80000), perfect())
+	slow := run(t, DefaultConfig(), independent(80000), mem.New(oneBlockL1I(memConfig(12))))
 	// 8 instrs per block: a 12-cycle stall per block turns 1 cycle/block
 	// into ~13 → at least 8x slower.
 	if ratio := float64(slow.Cycles) / float64(fast.Cycles); ratio < 8 {
@@ -162,11 +157,11 @@ func TestICacheMissesStallFetch(t *testing.T) {
 }
 
 func TestFetchGroupsCountBlockTransitions(t *testing.T) {
-	im := &perfectIMem{}
-	res := run(t, DefaultConfig(), independent(8000), im, nil)
+	h := perfect()
+	res := run(t, DefaultConfig(), independent(8000), h)
 	// 8 instructions per 32-byte block → 1000 transitions.
-	if res.FetchGroups != 1000 || im.accesses != 1000 {
-		t.Fatalf("fetch groups = %d (imem %d), want 1000", res.FetchGroups, im.accesses)
+	if acc := h.ICache().Stats().Accesses; res.FetchGroups != 1000 || acc != 1000 {
+		t.Fatalf("fetch groups = %d (i-cache accesses %d), want 1000", res.FetchGroups, acc)
 	}
 }
 
@@ -178,9 +173,10 @@ func TestLoadLatencyChain(t *testing.T) {
 		ins[i] = isa.Instr{PC: uint64(i * 4), Class: isa.Load, MemAddr: uint64(i * 64),
 			Src1: 1, Src2: isa.NoReg, Dst: 1}
 	}
-	fast := run(t, DefaultConfig(), &isa.SliceStream{Instrs: ins}, nil, &slowDMem{lat: 0})
-	slowStream := &isa.SliceStream{Instrs: ins}
-	slow := run(t, DefaultConfig(), slowStream, nil, &slowDMem{lat: 12})
+	s := &isa.SliceStream{Instrs: ins}
+	fast := run(t, DefaultConfig(), s, warmed(oneBlockL1D(memConfig(0)), s))
+	s.Reset()
+	slow := run(t, DefaultConfig(), s, warmed(oneBlockL1D(memConfig(12)), s))
 	perFast := float64(fast.Cycles) / float64(n)
 	perSlow := float64(slow.Cycles) / float64(n)
 	if perSlow-perFast < 11 || perSlow-perFast > 13 {
@@ -195,7 +191,8 @@ func TestIndependentLoadsOverlap(t *testing.T) {
 		ins[i] = isa.Instr{PC: uint64(i * 4), Class: isa.Load, MemAddr: uint64(i * 64),
 			Src1: isa.NoReg, Src2: isa.NoReg, Dst: uint8(i % 32)}
 	}
-	res := run(t, DefaultConfig(), &isa.SliceStream{Instrs: ins}, nil, &slowDMem{lat: 12})
+	s := &isa.SliceStream{Instrs: ins}
+	res := run(t, DefaultConfig(), s, warmed(oneBlockL1D(memConfig(12)), s))
 	// Two memory ports, latency hidden by overlap: ~0.5 cycles/instr, far
 	// below the serialized 13.
 	if per := float64(res.Cycles) / float64(n); per > 2 {
@@ -212,7 +209,7 @@ func TestMemPortsLimitThroughput(t *testing.T) {
 		ins[i] = isa.Instr{PC: uint64(i * 4), Class: isa.Load, MemAddr: uint64(i * 32),
 			Src1: isa.NoReg, Src2: isa.NoReg, Dst: uint8(i % 32)}
 	}
-	res := run(t, cfg, &isa.SliceStream{Instrs: ins}, nil, &perfectDMem{})
+	res := run(t, cfg, &isa.SliceStream{Instrs: ins}, perfect())
 	if ipc := res.IPC(); ipc > 1.01 {
 		t.Fatalf("1 memory port should cap load IPC at 1, got %v", ipc)
 	}
@@ -229,7 +226,8 @@ func TestROBStallsBehindLongLatencyOp(t *testing.T) {
 	for i := 1; i < n; i++ {
 		ins[i] = isa.Instr{PC: uint64(i * 4), Class: isa.IntALU, Src1: isa.NoReg, Src2: isa.NoReg, Dst: uint8(i % 32)}
 	}
-	res := run(t, cfg, &isa.SliceStream{Instrs: ins}, nil, &slowDMem{lat: 2000})
+	s := &isa.SliceStream{Instrs: ins}
+	res := run(t, cfg, s, warmed(memConfig(2000), s))
 	// Everything beyond the ROB window waits for the slow load to commit:
 	// cycles ≈ 2000 + (n-ROB)/8, certainly more than 2000.
 	if res.Cycles < 2000 {
@@ -260,8 +258,8 @@ func TestMispredictsCostCycles(t *testing.T) {
 		return &isa.SliceStream{Instrs: ins}
 	}
 	rng := xrand.New(9)
-	predictable := run(t, DefaultConfig(), mkBranches(func(i int) bool { return true }), nil, nil)
-	random := run(t, DefaultConfig(), mkBranches(func(i int) bool { return rng.Bool(0.5) }), nil, nil)
+	predictable := run(t, DefaultConfig(), mkBranches(func(i int) bool { return true }), perfect())
+	random := run(t, DefaultConfig(), mkBranches(func(i int) bool { return rng.Bool(0.5) }), perfect())
 	if random.Mispredicts <= predictable.Mispredicts {
 		t.Fatalf("random branches should mispredict more: %d vs %d",
 			random.Mispredicts, predictable.Mispredicts)
@@ -285,26 +283,37 @@ func TestCallReturnPairsPredicted(t *testing.T) {
 			Src1: isa.NoReg, Src2: isa.NoReg, Dst: isa.NoReg})
 		pc += 12
 	}
-	res := run(t, DefaultConfig(), &isa.SliceStream{Instrs: ins}, nil, nil)
+	res := run(t, DefaultConfig(), &isa.SliceStream{Instrs: ins}, perfect())
 	if res.BPredStats.RASMispredict > 2 {
 		t.Fatalf("RAS mispredicts = %d, want ~0", res.BPredStats.RASMispredict)
 	}
 }
 
-func TestTickerReceivesAllInstructions(t *testing.T) {
+// TestTicksReachHierarchy: the pipeline ticks its hierarchy with every
+// instruction, in TickBatch batches stamped with the fetch cycle. The DRI
+// i-cache's sense interval (40) does not divide the tick batch (64), so it
+// ends n/40 intervals only if the trailing partial batch is delivered too;
+// and with a miss-bound no interval reaches, it downsizes at the end of
+// each of its first intervals, so time spent at the first two sizes shows
+// the ticks arrived mid-run at distinct, non-zero cycles.
+func TestTicksReachHierarchy(t *testing.T) {
+	const n = 1000
 	cfg := DefaultConfig()
 	cfg.TickBatch = 64
-	tick := &countTicker{}
-	p := New(cfg, &perfectIMem{}, &perfectDMem{}, nil, tick)
-	res := p.Run(independent(1000))
-	if tick.instrs != res.Instructions {
-		t.Fatalf("ticker saw %d instrs, run had %d", tick.instrs, res.Instructions)
+	c := memConfig(0)
+	c.L1I.Params = dri.Params{
+		Enabled: true, MissBound: n, SizeBoundBytes: 1 << 10,
+		SenseInterval: 40, Divisibility: 2,
+		ThrottleSaturation: 7, ThrottleIntervals: 10,
 	}
-	if tick.calls < int(1000/64) {
-		t.Fatalf("ticker calls = %d, want >= %d", tick.calls, 1000/64)
+	h := mem.New(c)
+	res := run(t, cfg, independent(n), h)
+	if got, want := h.ICache().Stats().Intervals, res.Instructions/40; res.Instructions != n || got != want {
+		t.Fatalf("%d instructions ended %d sense intervals, want %d of %d", res.Instructions, got, want, n)
 	}
-	if tick.last == 0 {
-		t.Fatal("ticker never saw a cycle timestamp")
+	spans := h.ICache().SizeResidency()
+	if spans[c.L1I.SizeBytes] == 0 || spans[c.L1I.SizeBytes/2] == 0 {
+		t.Fatalf("size residency %v: ticks did not arrive mid-run with fetch cycles", spans)
 	}
 }
 
@@ -315,7 +324,8 @@ func TestStoresDontStall(t *testing.T) {
 		ins[i] = isa.Instr{PC: uint64(i * 4), Class: isa.Store, MemAddr: uint64(i * 32),
 			Src1: 1, Src2: isa.NoReg, Dst: isa.NoReg}
 	}
-	res := run(t, DefaultConfig(), &isa.SliceStream{Instrs: ins}, nil, &slowDMem{lat: 100})
+	s := &isa.SliceStream{Instrs: ins}
+	res := run(t, DefaultConfig(), s, warmed(oneBlockL1D(memConfig(100)), s))
 	// Store latency is absorbed by the store buffer; throughput is limited
 	// only by the two memory ports.
 	if ipc := res.IPC(); ipc < 1.8 {
@@ -346,8 +356,8 @@ func TestDeterminism(t *testing.T) {
 		}
 		return &isa.SliceStream{Instrs: ins}
 	}
-	r1 := run(t, DefaultConfig(), mk(), nil, nil)
-	r2 := run(t, DefaultConfig(), mk(), nil, nil)
+	r1 := run(t, DefaultConfig(), mk(), perfect())
+	r2 := run(t, DefaultConfig(), mk(), perfect())
 	if r1 != r2 {
 		t.Fatalf("nondeterministic results:\n%+v\n%+v", r1, r2)
 	}
@@ -361,7 +371,7 @@ func TestResultIPCZeroCycles(t *testing.T) {
 }
 
 func TestEmptyStream(t *testing.T) {
-	res := run(t, DefaultConfig(), &isa.SliceStream{}, nil, nil)
+	res := run(t, DefaultConfig(), &isa.SliceStream{}, perfect())
 	if res.Instructions != 0 || res.Cycles != 0 {
 		t.Fatalf("empty stream result = %+v", res)
 	}

@@ -1,7 +1,7 @@
-// The lane executor: the per-instruction stage advance of the fused
-// whole-system loop, extracted into a reusable lane so that N independent
-// simulations of the *same* instruction stream can share a single decode
-// pass. A sweep evaluates one benchmark across many cache/policy
+// The lane executor, the simulator's one timing loop. A lane is the
+// per-instruction stage advance of one simulation over its own memory
+// hierarchy; N lanes over the *same* instruction stream share a single
+// decode pass. A sweep evaluates one benchmark across many cache/policy
 // configurations; decoding (or, when the trace store bypasses the stream,
 // generating) the stream once and stepping every lane lock-step removes
 // the per-configuration decode (and, for lanes with equal predictor
@@ -47,9 +47,9 @@ type predLane struct {
 }
 
 // predictChunk walks the predictor over one decoded chunk, recording each
-// instruction's outcomes. The call pattern must match the solo timing model
-// exactly: the BTB is consulted (and trained) for a conditional branch only
-// when the direction was correctly predicted taken.
+// instruction's outcomes. The call pattern is part of the timing model (the
+// goldens pin it): the BTB is consulted (and trained) for a conditional
+// branch only when the direction was correctly predicted taken.
 func (g *predLane) predictChunk(buf []isa.DecodedInstr) {
 	bp := g.bp
 	for k := range buf {
@@ -95,7 +95,6 @@ type lane struct {
 	lsqIdx      int
 
 	singlePort bool
-	tick       bool
 
 	regReady [isa.RegCount]uint64
 
@@ -114,7 +113,8 @@ type lane struct {
 	// finish. Way memoization never runs under a per-line policy or a live
 	// DRI controller (policy.Apply forbids both), so a memoized hit has no
 	// side effect beyond the two counters and zero latency: the bypass is
-	// bit-identical to calling FetchBlock.
+	// bit-identical to calling FetchBlock (TestMemoLaneMatchesFetchBlock),
+	// and memoization changes no hit or miss (TestWayMemoTransparent).
 	memo     *dri.Cache
 	memoHits uint64
 
@@ -130,7 +130,7 @@ type lane struct {
 
 // newLane builds the per-run state for one configuration over its own
 // hierarchy, drawing the stage rings from the shared pool.
-func newLane(cfg Config, h *mem.Hierarchy, tick bool, pred *predLane, rec *timeline.Recorder) *lane {
+func newLane(cfg Config, h *mem.Hierarchy, pred *predLane, rec *timeline.Recorder) *lane {
 	rs := getRings(&cfg)
 	var memo *dri.Cache
 	if ic := h.ICache(); ic.WayMemoEnabled() {
@@ -152,7 +152,6 @@ func newLane(cfg Config, h *mem.Hierarchy, tick bool, pred *predLane, rec *timel
 		robRing:      rs.rob,
 		lsqRing:      rs.lsq,
 		singlePort:   cfg.MemPorts == 1,
-		tick:         tick,
 		curBlock:     ^uint64(0),
 		blockMask:    uint64(1)<<cfg.BlockShift - 1,
 		memo:         memo,
@@ -171,13 +170,6 @@ func newLane(cfg Config, h *mem.Hierarchy, tick bool, pred *predLane, rec *timel
 // always correct — it is purely an accelerator. The lane's timing state is
 // staged into locals for the whole chunk, so the per-instruction stage
 // advance runs register-to-register.
-//
-// NOTE: this is the timing model of runGeneric specialized to a concrete
-// mem.Hierarchy and pre-walked branch prediction; keep the stage logic in
-// lockstep with runGeneric line for line (the copies differ only in the
-// stream/memory/predictor call sites and the block-transition fast paths,
-// which fire exactly when runGeneric's `block != curBlock` is false or the
-// memoized way serves the fetch at zero cost).
 func (ln *lane) stepChunk(buf []isa.DecodedInstr) {
 	cfg := &ln.cfg
 	var (
@@ -317,7 +309,7 @@ func (ln *lane) stepChunk(buf []isa.DecodedInstr) {
 			ln.robIdx = 0
 		}
 		ln.tickAccum++
-		if ln.tick && ln.tickAccum >= cfg.TickBatch {
+		if ln.tickAccum >= cfg.TickBatch {
 			ln.h.Advance(ln.tickAccum, f)
 			ln.tickAccum = 0
 		}
@@ -360,7 +352,7 @@ func (ln *lane) finish() Result {
 		ln.memo.AddMemoHits(ln.memoHits)
 		ln.memoHits = 0
 	}
-	if ln.tick && ln.tickAccum > 0 {
+	if ln.tickAccum > 0 {
 		ln.h.Advance(ln.tickAccum, ln.ft)
 	}
 	if ln.rec != nil {
@@ -375,19 +367,6 @@ func (ln *lane) finish() Result {
 	putRings(ln.rs)
 	ln.rs = nil
 	return ln.res
-}
-
-// laneFor validates that p has the fused whole-system shape (stream-side,
-// data-side, and ticker all one concrete mem.Hierarchy, or a nil ticker)
-// and builds its lane. It panics otherwise: RunLanes callers construct the
-// pipelines themselves, so a foreign memory model here is a programming
-// error, not a runtime condition.
-func laneFor(p *Pipeline, pred *predLane) *lane {
-	h, ok := p.imem.(*mem.Hierarchy)
-	if !ok || !p.dmemIs(h) || !p.tickIs(h) {
-		panic("cpu: RunLanes requires pipelines whose memory interfaces are a single concrete mem.Hierarchy")
-	}
-	return newLane(p.cfg, h, p.tick != nil, pred, p.rec)
 }
 
 // RunLanes consumes the chunk source once — a replay cursor, a generator
@@ -428,7 +407,7 @@ func RunLanesCtx(ctx context.Context, src isa.ChunkSource, pipes []*Pipeline) ([
 			byCfg[p.bp.Config()] = g
 			groups = append(groups, g)
 		}
-		lanes[i] = laneFor(p, g)
+		lanes[i] = newLane(p.cfg, p.h, g, p.rec)
 	}
 	finish := func() []Result {
 		out := make([]Result, len(lanes))

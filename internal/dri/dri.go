@@ -424,7 +424,7 @@ func (c *Cache) memoEntry(block uint64) uint64 {
 
 // MemoHit reports whether block would be served by a live link register —
 // the exact predicate of AccessBlock's memoization fast path — without
-// touching statistics or replacement state. The fused simulator uses it to
+// touching statistics or replacement state. The simulator's lane uses it to
 // bypass whole hierarchy lookups, flushing the skipped accounting later
 // through AddMemoHits.
 func (c *Cache) MemoHit(block uint64) bool {

@@ -13,8 +13,9 @@
 //
 // Scale: the paper simulates full SPEC95 runs with one-million-instruction
 // sense-intervals; this harness defaults to 4M-instruction runs with
-// 100K-instruction intervals, scaling miss-bounds (per-interval counts)
-// with the interval as documented in DESIGN.md.
+// 100K-instruction intervals. Miss-bounds are per-interval counts, so the
+// search grids scale them with the interval (multiples of 0.1% of its
+// instructions, see DefaultSpace) to keep the same miss-rate setpoints.
 package exp
 
 import (

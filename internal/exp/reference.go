@@ -3,9 +3,11 @@ package exp
 // PaperFig3 holds the approximate per-benchmark values read off the paper's
 // Figure 3 (performance-constrained bars): relative energy-delay and
 // average cache size as fractions of the conventional 64K i-cache. These
-// anchor the paper-vs-measured comparison in EXPERIMENTS.md; the
-// reproduction targets the *shape* (class ordering, fpppp at 1.0), not the
-// absolute values, since the substrate differs (see DESIGN.md).
+// anchor the paper-vs-measured comparison in the cmd/experiments report;
+// the reproduction targets the *shape* (class ordering, fpppp at 1.0), not
+// the absolute values, since the substrate differs: synthetic SPEC95
+// stand-ins (internal/trace) on an analytical out-of-order core
+// (internal/cpu) instead of SimpleScalar running the real binaries.
 var PaperFig3 = map[string]struct{ ED, AvgSize float64 }{
 	"applu":    {0.20, 0.15},
 	"compress": {0.20, 0.15},

@@ -121,7 +121,9 @@ func FormatSweep(rows []SweepRow) string {
 }
 
 // AblationThrottle compares the base constrained configuration with
-// throttling disabled — the DESIGN.md ablation for the oscillation damper.
+// throttling disabled, an ablation of the controller's oscillation damper
+// (without it, a working set near a size boundary can flip the cache
+// between two adjacent sizes every interval).
 func (r *Runner) AblationThrottle(base []Fig3Row) []VariationRow {
 	labels := []string{"throttle", "no-throttle"}
 	var tasks []Task

@@ -88,7 +88,7 @@ func (c *ReplayCursor) Replay() *Replay { return c.r }
 // SeqPC reports whether the instruction most recently decoded by
 // NextValues (or Next) was PC-sequential: its PC is the previous
 // instruction's PC plus InstrBytes. The delta encoding carries this fact in
-// the meta byte, so the signal is free — the fused simulator combines it
+// the meta byte, so the signal is free — the simulator's lane combines it
 // with the PC's offset within a fetch block to detect same-block runs
 // without recomputing and comparing block addresses. False before the first
 // instruction of the stream.
@@ -114,8 +114,8 @@ func (c *ReplayCursor) Next(ins *Instr) bool {
 }
 
 // NextValues is Next exploded into discrete return values. Under the Go
-// register ABI all nine results travel in registers, so the pipeline's
-// fused loop consumes a decoded instruction without a 40-byte Instr
+// register ABI all nine results travel in registers, so a caller
+// consumes a decoded instruction without a 40-byte Instr
 // round-tripping through the stack per instruction. ok is false at end of
 // stream (all other results are then zero).
 func (c *ReplayCursor) NextValues() (pc, memAddr, target uint64, cls Class, taken bool, s1, s2, dst uint8, ok bool) {

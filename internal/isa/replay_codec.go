@@ -28,24 +28,25 @@ func (r *Replay) MarshalBinary() []byte {
 	return b
 }
 
-// UnmarshalReplay decodes a MarshalBinary encoding and structurally
-// validates it: every section length must be consistent and a full
-// position walk must stay in bounds, so a Replay accepted here can never
-// index out of range under a cursor. (The persistence envelope's checksum
-// already rejects bit rot; this guards against format drift and
-// hand-crafted files.)
+// UnmarshalReplay decodes a MarshalBinary encoding and validates it: every
+// section length must be consistent and minimally encoded, a full position
+// walk must stay in bounds, and every decoded class and register must be
+// one the simulator can index with. A Replay accepted here can never index
+// out of range under a cursor or in the pipeline, and marshals back to b.
+// (The persistence envelope's checksum already rejects bit rot; this
+// guards against format drift and hand-crafted files.)
 func UnmarshalReplay(b []byte) (*Replay, error) {
 	fail := func(what string) (*Replay, error) {
 		return nil, fmt.Errorf("%w: %s", errReplayEncoding, what)
 	}
-	n, sz := binary.Uvarint(b)
+	n, sz := canonicalUvarint(b)
 	if sz <= 0 {
 		return fail("bad instruction count")
 	}
 	b = b[sz:]
 	var secs [4][]byte
 	for i := range secs {
-		l, sz := binary.Uvarint(b)
+		l, sz := canonicalUvarint(b)
 		if sz <= 0 || l > uint64(len(b)-sz) {
 			return fail(fmt.Sprintf("bad section %d length", i))
 		}
@@ -65,24 +66,45 @@ func UnmarshalReplay(b []byte) (*Replay, error) {
 	return rep, nil
 }
 
+// canonicalUvarint is binary.Uvarint that also rejects (sz 0) a varint
+// longer than MarshalBinary would write for its value.
+func canonicalUvarint(b []byte) (uint64, int) {
+	v, sz := binary.Uvarint(b)
+	var buf [binary.MaxVarintLen64]byte
+	if sz > 0 && sz != binary.PutUvarint(buf[:], v) {
+		return 0, 0
+	}
+	return v, sz
+}
+
 // validate walks every meta byte, advancing the section positions exactly
-// as a cursor would, and verifies each section is consumed completely.
+// as a cursor would, checks each class and register operand, and verifies
+// each section is consumed completely.
 func (r *Replay) validate() error {
 	pcPos, regPos, auxPos := 0, 0, 0
 	for i := uint64(0); i < r.n; i++ {
 		m := r.meta[i]
+		cls := Class(m & metaClassMask)
+		if int(cls) >= NumClasses {
+			return fmt.Errorf("%w: class %d at instruction %d", errReplayEncoding, cls, i)
+		}
 		if m&metaSeqPC == 0 {
 			if pcPos = skipUvarint(r.pcs, pcPos); pcPos < 0 {
 				return fmt.Errorf("%w: pc section truncated at instruction %d", errReplayEncoding, i)
 			}
 		}
 		if m&metaRegs != 0 {
-			regPos += 3
-			if regPos > len(r.regs) {
+			if regPos+3 > len(r.regs) {
 				return fmt.Errorf("%w: reg section truncated at instruction %d", errReplayEncoding, i)
 			}
+			for _, reg := range r.regs[regPos : regPos+3] {
+				if reg >= RegCount && reg != NoReg {
+					return fmt.Errorf("%w: register %d at instruction %d", errReplayEncoding, reg, i)
+				}
+			}
+			regPos += 3
 		}
-		if cls := Class(m & metaClassMask); cls.IsMem() || cls.IsControl() {
+		if cls.IsMem() || cls.IsControl() {
 			if auxPos = skipUvarint(r.aux, auxPos); auxPos < 0 {
 				return fmt.Errorf("%w: aux section truncated at instruction %d", errReplayEncoding, i)
 			}

@@ -1,9 +1,9 @@
 // Package mem wires the cache hierarchy of the simulated system (Table 1):
 // an L1 i-cache (conventional or DRI, from internal/dri), a 64K 2-way L1
 // d-cache, a 1M 4-way unified L2, and a main memory with the paper's
-// 80-cycles-plus-4-per-8-bytes latency. It implements the cpu.IMem and
-// cpu.DMem interfaces and accounts every L2 and memory access for the energy
-// model.
+// 80-cycles-plus-4-per-8-bytes latency. The pipeline (internal/cpu) runs
+// on one Hierarchy, calling FetchBlock, Load, Store and Advance directly;
+// the hierarchy accounts every L2 and memory access for the energy model.
 //
 // The unified L2 is itself a DRI cache (internal/dri.DataCache): with
 // Params.Enabled it runs its own sense-interval controller — miss-bound,
@@ -263,12 +263,12 @@ func (h *Hierarchy) Reset() {
 	h.countL2DemandWB = false
 }
 
-// FetchBlock implements cpu.IMem: an instruction fetch of the given L1I
-// block address. A hit costs nothing extra; a miss goes to L2 and possibly
-// memory, and fills the i-cache. The policy-free hit path — the common case
-// by far — is kept branch-minimal so the pipeline's fused loop pays only
-// the tag probe; miss handling and per-line-policy penalties live in
-// fetchSlow.
+// FetchBlock is an instruction fetch of the given L1I block address,
+// returning the added latency in cycles. A hit costs nothing extra; a miss
+// goes to L2 and possibly memory, and fills the i-cache. The policy-free hit
+// path — the common case by far — is kept branch-minimal so the pipeline's
+// lane pays only the tag probe; miss handling and per-line-policy penalties
+// live in fetchSlow.
 func (h *Hierarchy) FetchBlock(block uint64) uint64 {
 	hit := h.l1i.AccessBlock(block)
 	if hit && h.l1iPol == nil {
@@ -300,8 +300,8 @@ func (h *Hierarchy) fetchSlow(block uint64, hit bool) uint64 {
 	return lat
 }
 
-// Load implements cpu.DMem for loads: returns the latency beyond the L1
-// pipeline cycle.
+// Load is a data load: it returns the latency beyond the L1 pipeline
+// cycle.
 func (h *Hierarchy) Load(addr uint64) uint64 {
 	r := h.l1d.Access(addr, false)
 	if r.Hit {
@@ -310,9 +310,8 @@ func (h *Hierarchy) Load(addr uint64) uint64 {
 	return h.l1dMissFill(addr, r)
 }
 
-// Store implements cpu.DMem for stores (write-allocate, write-back; the
-// store buffer hides the latency, so none is returned, but all traffic is
-// accounted).
+// Store is a data store (write-allocate, write-back; the store buffer hides
+// the latency, so none is returned, but all traffic is accounted).
 func (h *Hierarchy) Store(addr uint64) {
 	r := h.l1d.Access(addr, true)
 	if !r.Hit {
@@ -348,7 +347,8 @@ func (h *Hierarchy) l1dMissFill(addr uint64, r cache.AccessResult) uint64 {
 	return lat
 }
 
-// Advance implements cpu.Ticker by forwarding instruction progress to the
+// Advance forwards the pipeline's instruction progress — instrs fetched
+// since the last call, the latest at fetch cycle nowCycles — to the
 // sense-interval machinery of both resizable levels.
 func (h *Hierarchy) Advance(instrs, nowCycles uint64) {
 	h.l1i.Advance(instrs, nowCycles)

@@ -127,7 +127,8 @@ func (h *Histogram) Total() int64 {
 	return t
 }
 
-// Table builds fixed-width ASCII tables for the cmd tools and EXPERIMENTS.md.
+// Table builds fixed-width ASCII tables for the cmd tools and the
+// experiments report.
 type Table struct {
 	header []string
 	rows   [][]string

@@ -1,6 +1,6 @@
 // Package timeline is a bounded-memory per-interval flight recorder for
-// simulation runs. The fused pipeline loop (and every lane of the sweep
-// executor) samples the cache hierarchy at sense-interval boundaries; the
+// simulation runs. Every lane of the pipeline's lane executor (a solo run
+// is one lane) samples the cache hierarchy at sense-interval boundaries; the
 // recorder turns consecutive samples into per-interval points — miss
 // counts, active fraction, live sets/ways, policy state, memo hits, IPC,
 // incremental energy — and keeps at most MaxPoints of them by merging

@@ -8,8 +8,8 @@ import (
 // Benchmarks returns the fifteen SPEC95 stand-ins the paper evaluates
 // (all of SPEC95 minus two floating-point and one integer benchmark),
 // grouped in the paper's three classes. Each definition encodes the
-// published characterization of that benchmark's i-cache behaviour; see
-// DESIGN.md for the substitution argument.
+// published characterization of that benchmark's i-cache behaviour; the
+// package comment gives the substitution argument.
 func Benchmarks() []Program {
 	return []Program{
 		// ---- Class 1: small i-cache requirement throughout ----

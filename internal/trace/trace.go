@@ -5,8 +5,9 @@
 // *instruction working-set behaviour over time* matches the paper's
 // published characterization (§5.3): phases with a code footprint, loop
 // structure, call density, branch predictability, and data footprint. The
-// DRI i-cache responds to exactly these properties; DESIGN.md documents the
-// substitution.
+// DRI i-cache responds to exactly these properties, so a stand-in that
+// matches them exercises the controller as the real binary would, though
+// absolute miss rates and IPC differ.
 //
 // The execution model: a program is a sequence of phases (optionally
 // repeated, for iterative solvers like su2cor). Within a phase, execution
