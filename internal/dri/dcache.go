@@ -11,6 +11,10 @@ package dri
 // departing set at downsize time, and reports that traffic so a timing or
 // energy model can charge it (each writeback is an extra L2 access, and a
 // resize stalls while the burst drains).
+//
+// With Params.Enabled false the type is also the conventional write-back,
+// write-allocate cache: the system's L1 d-cache (internal/mem) is a
+// DataCache that never resizes.
 
 // WritebackCause labels why a dirty block left the cache.
 type WritebackCause int

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"dricache/internal/cache"
 	"dricache/internal/xrand"
 )
 
@@ -175,21 +174,24 @@ func TestUpsizedSetsComeUpCold(t *testing.T) {
 }
 
 func TestDisabledBehavesLikeConventionalCache(t *testing.T) {
-	// The DRI cache with resizing disabled must match the plain cache
-	// model access-for-access on a random stream.
+	// The DRI cache with resizing disabled must match the recency-list
+	// reference model access-for-access on a random stream.
 	d := New(conventional64K())
-	cc := cache.New(cache.Config{Name: "conv", SizeBytes: 64 << 10, BlockBytes: 32, Assoc: 1})
+	ref := newRefCache(d.Config().Sets(), d.Config().Assoc)
 	rng := xrand.New(7)
+	var refMisses uint64
 	for i := 0; i < 200000; i++ {
 		block := uint64(rng.Intn(1 << 14))
-		dh := d.AccessBlock(block)
-		ch := cc.AccessBlock(block, false).Hit
-		if dh != ch {
-			t.Fatalf("access %d: dri hit=%v conventional hit=%v", i, dh, ch)
+		refHit, _, _ := ref.access(block, false)
+		if !refHit {
+			refMisses++
+		}
+		if dh := d.AccessBlock(block); dh != refHit {
+			t.Fatalf("access %d: dri hit=%v reference hit=%v", i, dh, refHit)
 		}
 	}
-	if d.Stats().Misses != cc.Stats().Misses {
-		t.Fatalf("miss counts diverge: %d vs %d", d.Stats().Misses, cc.Stats().Misses)
+	if d.Stats().Misses != refMisses {
+		t.Fatalf("miss counts diverge: %d vs %d", d.Stats().Misses, refMisses)
 	}
 }
 
@@ -449,6 +451,17 @@ func TestInvariantsQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestMissRate(t *testing.T) {
+	var s Stats
+	if s.MissRate() != 0 {
+		t.Fatal("empty stats miss rate should be 0")
+	}
+	s = Stats{Accesses: 8, Misses: 2}
+	if s.MissRate() != 0.25 {
+		t.Fatalf("miss rate = %v, want 0.25", s.MissRate())
 	}
 }
 

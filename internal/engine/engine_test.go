@@ -71,6 +71,18 @@ func TestKeyForCanonical(t *testing.T) {
 	}
 }
 
+// TestKeyForPinned pins one key to its literal value: a change to the JSON
+// shape of sim.Config (a renamed, added or retyped field) changes every
+// key, and with it silently orphans every persisted result. Such a change
+// must fail here first.
+func TestKeyForPinned(t *testing.T) {
+	cfg := sim.Default(sim.DRI64K(dri.DefaultParams(100_000)), 1_000_000)
+	const want = "c341b454e838da3377e4d254e1bd5945726d60f31c818991197bf0510f7a49f6"
+	if got := KeyFor(cfg, prog(t, "gcc")); got != want {
+		t.Fatalf("KeyFor = %s, want %s", got, want)
+	}
+}
+
 // TestSingleFlightDedup is the acceptance test: N concurrent identical
 // submissions execute the underlying simulation exactly once.
 func TestSingleFlightDedup(t *testing.T) {

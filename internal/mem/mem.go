@@ -1,11 +1,15 @@
 // Package mem wires the cache hierarchy of the simulated system (Table 1):
-// an L1 i-cache (conventional or DRI, from internal/dri), a 64K 2-way L1
-// d-cache, a 1M 4-way unified L2, and a main memory with the paper's
-// 80-cycles-plus-4-per-8-bytes latency. The pipeline (internal/cpu) runs
-// on one Hierarchy, calling FetchBlock, Load, Store and Advance directly;
-// the hierarchy accounts every L2 and memory access for the energy model.
+// an L1 i-cache (conventional or DRI), a 64K 2-way L1 d-cache, a 1M 4-way
+// unified L2, and a main memory with the paper's 80-cycles-plus-4-per-8-bytes
+// latency. The pipeline (internal/cpu) runs on one Hierarchy, calling
+// FetchBlock, Load, Store and Advance directly; the hierarchy accounts every
+// L2 and memory access for the energy model.
 //
-// The unified L2 is itself a DRI cache (internal/dri.DataCache): with
+// All three levels run on one cache core, internal/dri: the L1I is a
+// dri.Cache, the L1D and L2 are dri.DataCache (write-back,
+// write-allocate, first invalid way then true LRU). The L1D never resizes.
+//
+// The unified L2 is a DRI cache too: with
 // Params.Enabled it runs its own sense-interval controller — miss-bound,
 // size-bound, divisibility, throttling — gating off its highest-numbered
 // sets exactly like the L1 i-cache, but with the write-back protocol a
@@ -17,7 +21,6 @@ package mem
 import (
 	"fmt"
 
-	"dricache/internal/cache"
 	"dricache/internal/dri"
 	"dricache/internal/policy"
 	"dricache/internal/timeline"
@@ -31,7 +34,7 @@ type Config struct {
 	// decay and drowsy add per-line state machines, waygate maps onto the
 	// dri controller's way-resizing mode.
 	L1IPolicy policy.Config
-	L1D       cache.Config
+	L1D       L1DConfig
 	// L2 is the unified L2; set L2.Params.Enabled for a resizable
 	// (multi-level DRI) L2.
 	L2 dri.Config
@@ -45,12 +48,27 @@ type Config struct {
 	MemLatencyPer8B uint64
 }
 
+// L1DConfig describes the conventional L1 d-cache; it is built as a
+// dri.DataCache with resizing disabled.
+type L1DConfig struct {
+	// Name is not used by the simulator; it keeps the L1D JSON shape (and
+	// so every engine cache key and persisted result) unchanged.
+	Name       string
+	SizeBytes  int
+	BlockBytes int
+	Assoc      int
+}
+
+func (c L1DConfig) dri() dri.Config {
+	return dri.Config{SizeBytes: c.SizeBytes, BlockBytes: c.BlockBytes, Assoc: c.Assoc, AddrBits: 32}
+}
+
 // DefaultConfig returns the paper's Table 1 hierarchy around the given L1
 // i-cache configuration, with a conventional (non-resizing) L2.
 func DefaultConfig(l1i dri.Config) Config {
 	return Config{
 		L1I: l1i,
-		L1D: cache.Config{Name: "L1D", SizeBytes: 64 << 10, BlockBytes: 32, Assoc: 2},
+		L1D: L1DConfig{Name: "L1D", SizeBytes: 64 << 10, BlockBytes: 32, Assoc: 2},
 		L2:  DefaultL2(),
 		// "L2 cache: 12 cycle latency", "Memory: 80 cycles + 4 cycles per
 		// 8 bytes".
@@ -76,8 +94,8 @@ func (c Config) Check() error {
 	if err := l1i.Check(); err != nil {
 		return err
 	}
-	if err := c.L1D.Check(); err != nil {
-		return err
+	if err := c.L1D.dri().Check(); err != nil {
+		return fmt.Errorf("mem: L1D: %w", err)
 	}
 	if err := l2.Check(); err != nil {
 		return fmt.Errorf("mem: L2: %w", err)
@@ -137,7 +155,7 @@ func (s Stats) L2Accesses() uint64 { return s.L2AccessesFromI + s.L2AccessesFrom
 type Hierarchy struct {
 	cfg Config
 	l1i *dri.Cache
-	l1d *cache.Cache
+	l1d *dri.DataCache
 	l2  *dri.DataCache
 
 	memLatencyL2Fill uint64 // memory time to fill one L2 block
@@ -150,6 +168,8 @@ type Hierarchy struct {
 
 	// Shift from an L1I block address to an L2 block address.
 	iToL2Shift uint
+	// Shift from a byte address to an L1D block address.
+	l1dShift uint
 	// Shift from an L1D block address to an L2 block address.
 	dToL2Shift uint
 	// Shift from a byte address to an L2 block address.
@@ -175,7 +195,7 @@ func New(cfg Config) *Hierarchy {
 	h := &Hierarchy{
 		cfg: cfg,
 		l1i: dri.New(l1iCfg),
-		l1d: cache.New(cfg.L1D),
+		l1d: dri.NewData(cfg.L1D.dri()),
 		l2:  dri.NewData(l2Cfg),
 	}
 	if cfg.L1IPolicy.PerLine() {
@@ -192,6 +212,19 @@ func New(cfg Config) *Hierarchy {
 	if cfg.L2Policy.Kind == policy.WayMemo {
 		h.l2.EnableWayMemo(cfg.L2Policy.MemoTableEntries)
 	}
+	h.l1d.SetWritebackHandler(func(block uint64, _ dri.WritebackCause) {
+		// Dirty victim written back into L2 (write-allocate there too); a
+		// dirty L2 victim it displaces goes to memory.
+		h.stats.L2AccessesFromD++
+		h.countL2DemandWB = true
+		h.l2.AccessData(block>>h.dToL2Shift, true)
+		h.countL2DemandWB = false
+		if h.l2Pol != nil {
+			// The store buffer hides writeback latency; clear the pending
+			// wakeup so it is not charged to the following demand access.
+			h.l2Pol.TakePenalty()
+		}
+	})
 	h.l2.SetWritebackHandler(func(block uint64, cause dri.WritebackCause) {
 		switch cause {
 		case dri.WBResize:
@@ -209,7 +242,8 @@ func New(cfg Config) *Hierarchy {
 	h.memLatencyL2Fill = cfg.MemLatencyBase + cfg.MemLatencyPer8B*uint64(cfg.L2.BlockBytes/8)
 	h.l2Shift = log2u(cfg.L2.BlockBytes)
 	h.iToL2Shift = h.l2Shift - log2u(cfg.L1I.BlockBytes)
-	h.dToL2Shift = h.l2Shift - log2u(cfg.L1D.BlockBytes)
+	h.l1dShift = log2u(cfg.L1D.BlockBytes)
+	h.dToL2Shift = h.l2Shift - h.l1dShift
 	return h
 }
 
@@ -224,8 +258,8 @@ func log2u(n int) uint {
 // ICache exposes the L1 i-cache (for DRI statistics and control).
 func (h *Hierarchy) ICache() *dri.Cache { return h.l1i }
 
-// DCache exposes the L1 d-cache.
-func (h *Hierarchy) DCache() *cache.Cache { return h.l1d }
+// DCache exposes the L1 d-cache (a dri.DataCache that never resizes).
+func (h *Hierarchy) DCache() *dri.DataCache { return h.l1d }
 
 // L2 exposes the unified L2 (a DRI data cache; conventional when its Params
 // are zero).
@@ -303,38 +337,24 @@ func (h *Hierarchy) fetchSlow(block uint64, hit bool) uint64 {
 // Load is a data load: it returns the latency beyond the L1 pipeline
 // cycle.
 func (h *Hierarchy) Load(addr uint64) uint64 {
-	r := h.l1d.Access(addr, false)
-	if r.Hit {
+	if h.l1d.AccessData(addr>>h.l1dShift, false) {
 		return 0
 	}
-	return h.l1dMissFill(addr, r)
+	return h.l1dMissFill(addr)
 }
 
 // Store is a data store (write-allocate, write-back; the store buffer hides
 // the latency, so none is returned, but all traffic is accounted).
 func (h *Hierarchy) Store(addr uint64) {
-	r := h.l1d.Access(addr, true)
-	if !r.Hit {
-		h.l1dMissFill(addr, r)
+	if !h.l1d.AccessData(addr>>h.l1dShift, true) {
+		h.l1dMissFill(addr)
 	}
 }
 
-// l1dMissFill charges the L2 (and memory) for an L1D miss, including the
-// writeback of a dirty victim, and returns the fill latency.
-func (h *Hierarchy) l1dMissFill(addr uint64, r cache.AccessResult) uint64 {
-	if r.Writeback {
-		// Dirty victim written back into L2 (write-allocate there too); a
-		// dirty L2 victim it displaces goes to memory.
-		h.stats.L2AccessesFromD++
-		h.countL2DemandWB = true
-		h.l2.AccessData(r.WritebackBlock>>h.dToL2Shift, true)
-		h.countL2DemandWB = false
-		if h.l2Pol != nil {
-			// The store buffer hides writeback latency; clear the pending
-			// wakeup so it is not charged to the following demand access.
-			h.l2Pol.TakePenalty()
-		}
-	}
+// l1dMissFill charges the L2 (and memory) for an L1D miss and returns the
+// fill latency. A dirty victim's writeback has already gone to L2 through
+// the L1D's writeback handler.
+func (h *Hierarchy) l1dMissFill(addr uint64) uint64 {
 	h.stats.L2AccessesFromD++
 	lat := h.cfg.L2HitLatency
 	if !h.l2.AccessData(addr>>h.l2Shift, false) {

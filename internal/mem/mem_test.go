@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dricache/internal/dri"
+	"dricache/internal/policy"
 )
 
 func conv64K() dri.Config {
@@ -79,8 +80,84 @@ func TestStoreWritebackPath(t *testing.T) {
 	if extra != 3 {
 		t.Fatalf("L2 accesses after dirty eviction = %d, want 3", extra)
 	}
-	if h.DCache().Stats().Writebacks != 1 {
-		t.Fatalf("writebacks = %d, want 1", h.DCache().Stats().Writebacks)
+	if h.DCache().DataStats().Writebacks != 1 {
+		t.Fatalf("writebacks = %d, want 1", h.DCache().DataStats().Writebacks)
+	}
+}
+
+// TestDirtyWritebackWakeupNotCharged: a load whose L1D fill evicts a dirty
+// victim into a drowsy L2 line pays only its own demand latency. The store
+// buffer hides the writeback, wakeup included.
+func TestDirtyWritebackWakeupNotCharged(t *testing.T) {
+	cfg := DefaultConfig(conv64K())
+	cfg.L2Policy = policy.Config{
+		Kind: policy.Drowsy, IntervalInstructions: 100,
+		WakeupCycles: 7, DrowsyLeakFraction: 0.15,
+	}
+	h := New(cfg)
+	h.Store(0)          // dirty L1D block 0; its L2 block is filled
+	h.Load(64 << 10)    // second way of L1D set 0
+	h.Advance(100, 100) // every L2 line drops to low Vdd
+	// Evicts dirty block 0: its writeback hits the drowsy L2 line and wakes
+	// it; the demand access for 128K misses in L2.
+	if lat := h.Load(128 << 10); lat != 124 {
+		t.Fatalf("load latency = %d, want 124 (L2 miss, no writeback wakeup)", lat)
+	}
+	if w := h.L2PolicyStats().Wakeups; w != 1 {
+		t.Fatalf("L2 wakeups = %d, want 1 (the writeback's)", w)
+	}
+}
+
+func TestL1DColdMissThenHit(t *testing.T) {
+	h := newH(t)
+	if lat := h.Load(0x1000); lat == 0 {
+		t.Fatal("cold load should miss")
+	}
+	if lat := h.Load(0x1000); lat != 0 {
+		t.Fatal("second load should hit")
+	}
+	if lat := h.Load(0x101f); lat != 0 {
+		t.Fatal("same 32-byte block should hit")
+	}
+	if lat := h.Load(0x1020); lat == 0 {
+		t.Fatal("next block should miss")
+	}
+	if s := h.DCache().Stats(); s.Accesses != 4 || s.Misses != 2 {
+		t.Fatalf("L1D stats = %+v, want 4 accesses 2 misses", s)
+	}
+}
+
+func TestL1DConfigCheck(t *testing.T) {
+	bad := []L1DConfig{
+		{SizeBytes: 0, BlockBytes: 32, Assoc: 1},
+		{SizeBytes: 1000, BlockBytes: 32, Assoc: 1},
+		{SizeBytes: 1024, BlockBytes: 0, Assoc: 1},
+		{SizeBytes: 1024, BlockBytes: 48, Assoc: 1},
+		{SizeBytes: 1024, BlockBytes: 32, Assoc: 0},
+		{SizeBytes: 64, BlockBytes: 64, Assoc: 2},
+		{SizeBytes: 1024, BlockBytes: 32, Assoc: 3},
+	}
+	for i, l1d := range bad {
+		cfg := DefaultConfig(conv64K())
+		cfg.L1D = l1d
+		if err := cfg.Check(); err == nil {
+			t.Errorf("case %d: accepted invalid L1D %+v", i, l1d)
+		}
+	}
+}
+
+func TestL1DIsConventionalDataCache(t *testing.T) {
+	h := newH(t)
+	got := h.DCache().Config()
+	if got.Sets() != 1024 || got.BlockBytes != 32 || got.Assoc != 2 {
+		t.Fatalf("L1D geometry %+v, want 1024 sets of 2 32-byte ways", got)
+	}
+	if got.Params.Enabled {
+		t.Fatal("L1D must not resize")
+	}
+	h.Advance(1_000_000, 1_000_000)
+	if h.DCache().Stats().Intervals != 0 || h.DCache().ActiveBytes() != 64<<10 {
+		t.Fatal("L1D ran interval machinery")
 	}
 }
 
