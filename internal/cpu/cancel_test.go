@@ -53,27 +53,42 @@ func TestRunCtxAbortsFused(t *testing.T) {
 }
 
 // TestRunCtxAbortsMidRun cancels deterministically mid-stream (via a stream
-// wrapper, which the lane executor reads through the isa.Chunked adapter)
-// and asserts the run stops within one chunk cadence of the cancellation
-// point.
+// wrapper, which the lane executor reads through the isa.Chunked adapter).
+// The stream stage reads ahead of the lanes, so where the lanes stop depends
+// on how far ahead it ran; the bounds that hold either way are that no lane
+// steps past the chunk the cancellation came in and that the source is read
+// at most one ring's worth past it. On one P the stages run in turn, and the
+// lanes stop within one chunk after the cancellation point.
 func TestRunCtxAbortsMidRun(t *testing.T) {
 	rep := recordBench(t, "gcc", 100_000)
-	h := testHierarchy()
-	ctx, cancel := context.WithCancel(context.Background())
 	const cancelAt = 10_000
-	p := New(DefaultConfig(), h, h, bpred.New(bpred.DefaultConfig()), h)
-	cur := rep.Cursor()
-	cc := &cancellingStream{s: &cur, after: cancelAt, cancel: cancel}
-	res, err := p.RunCtx(ctx, cc)
-	if err == nil {
-		t.Fatal("mid-run cancellation returned nil error")
-	}
-	if !errors.Is(err, ErrAborted) {
-		t.Fatalf("error %v does not wrap ErrAborted", err)
-	}
-	if res.Instructions < cancelAt || res.Instructions > cancelAt+laneChunk {
-		t.Fatalf("aborted at %d instructions; want within one chunk after %d",
-			res.Instructions, cancelAt)
+	for _, ahead := range []bool{true, false} {
+		h := testHierarchy()
+		ctx, cancel := context.WithCancel(context.Background())
+		p := New(DefaultConfig(), h, h, bpred.New(bpred.DefaultConfig()), h)
+		cur := rep.Cursor()
+		cc := &cancellingStream{s: &cur, after: cancelAt, cancel: cancel}
+		out, err := runLanes(ctx, isa.Chunked(cc), []*Pipeline{p}, ahead)
+		cancel()
+		if err == nil {
+			t.Fatalf("ahead=%v: mid-run cancellation returned nil error", ahead)
+		}
+		if !errors.Is(err, ErrAborted) {
+			t.Fatalf("ahead=%v: error %v does not wrap ErrAborted", ahead, err)
+		}
+		stepped := out[0].Instructions
+		if stepped > cancelAt+laneChunk {
+			t.Fatalf("ahead=%v: stepped %d instructions; want at most one chunk after %d",
+				ahead, stepped, cancelAt)
+		}
+		if ring := uint64(ringSlots * slotChunks * laneChunk); cc.seen > cancelAt+ring {
+			t.Fatalf("ahead=%v: source read %d instructions; want at most one ring (%d) after %d",
+				ahead, cc.seen, ring, cancelAt)
+		}
+		if !ahead && stepped < cancelAt {
+			t.Fatalf("one P: aborted at %d instructions; want within one chunk after %d",
+				stepped, cancelAt)
+		}
 	}
 }
 

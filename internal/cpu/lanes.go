@@ -7,10 +7,22 @@
 // the per-configuration decode (and, for lanes with equal predictor
 // configurations, the branch-predictor walk) from the sweep's critical
 // path while keeping every lane bit-identical to running alone.
+//
+// A pass runs in two stages. The stream stage decodes the source and walks
+// each predictor group, filling ring slots of up to slotChunks chunks; the
+// lane stage steps every lane over each slot. With more than one P the
+// stream stage runs ahead on its own goroutine, so a solo run pays only for
+// the stage advance; with one P both stages run in turn on the caller's
+// goroutine a chunk at a time (a second goroutine would only add
+// handoffs).
 package cpu
 
 import (
 	"context"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"dricache/internal/bpred"
 	"dricache/internal/dri"
@@ -35,23 +47,16 @@ type predOut struct {
 	tgtMiss bool
 }
 
-// predLane holds one predictor group's per-chunk prediction outcomes for
-// every lane sharing one predictor. Predictor state is purely stream-driven
-// (see bpred.Predictor.Config), so lanes with equal predictor
+// predictChunk walks one predictor group's leader over a decoded chunk,
+// recording each instruction's outcomes in outs. Predictor state is purely
+// stream-driven (see bpred.Predictor.Config), so lanes with equal predictor
 // configurations — over the same stream — observe identical prediction
-// outcomes and statistics; the leader predictor is walked once per chunk
-// and its outcomes fan out to the whole group.
-type predLane struct {
-	bp   *bpred.Predictor
-	outs [laneChunk]predOut
-}
-
-// predictChunk walks the predictor over one decoded chunk, recording each
-// instruction's outcomes. The call pattern is part of the timing model (the
-// goldens pin it): the BTB is consulted (and trained) for a conditional
-// branch only when the direction was correctly predicted taken.
-func (g *predLane) predictChunk(buf []isa.DecodedInstr) {
-	bp := g.bp
+// outcomes and statistics; the leader is walked once per chunk and its
+// outcomes fan out to the whole group. The call pattern is part of the
+// timing model (the goldens pin it): the BTB is consulted (and trained) for
+// a conditional branch only when the direction was correctly predicted
+// taken.
+func predictChunk(bp *bpred.Predictor, buf []isa.DecodedInstr, outs *[laneChunk]predOut) {
 	for k := range buf {
 		e := &buf[k]
 		var o predOut
@@ -67,7 +72,7 @@ func (g *predLane) predictChunk(buf []isa.DecodedInstr) {
 		case isa.Ret:
 			o.tgtMiss = bp.Return(e.Target)
 		}
-		g.outs[k] = o
+		outs[k] = o
 	}
 }
 
@@ -76,10 +81,13 @@ func (g *predLane) predictChunk(buf []isa.DecodedInstr) {
 // own memory hierarchy. One lane advanced by stepChunk over a decoded
 // stream is Pipeline.Run; N lanes advanced lock-step share the decode.
 type lane struct {
-	cfg  Config
-	h    *mem.Hierarchy
-	pred *predLane
-	rs   *rings
+	cfg Config
+	h   *mem.Hierarchy
+	// bp is the lane's predictor group leader and group its index: the lane
+	// reads its outcomes from the slot's outs[group].
+	bp    *bpred.Predictor
+	group int
+	rs    *rings
 
 	fetchRing    []uint64
 	dispatchRing []uint64
@@ -130,7 +138,7 @@ type lane struct {
 
 // newLane builds the per-run state for one configuration over its own
 // hierarchy, drawing the stage rings from the shared pool.
-func newLane(cfg Config, h *mem.Hierarchy, pred *predLane, rec *timeline.Recorder) *lane {
+func newLane(cfg Config, h *mem.Hierarchy, bp *bpred.Predictor, group int, rec *timeline.Recorder) *lane {
 	rs := getRings(&cfg)
 	var memo *dri.Cache
 	if ic := h.ICache(); ic.WayMemoEnabled() {
@@ -143,7 +151,8 @@ func newLane(cfg Config, h *mem.Hierarchy, pred *predLane, rec *timeline.Recorde
 	return &lane{
 		cfg:          cfg,
 		h:            h,
-		pred:         pred,
+		bp:           bp,
+		group:        group,
 		rs:           rs,
 		fetchRing:    rs.fetch,
 		dispatchRing: rs.dispatch,
@@ -160,9 +169,9 @@ func newLane(cfg Config, h *mem.Hierarchy, pred *predLane, rec *timeline.Recorde
 	}
 }
 
-// stepChunk advances the lane by one decoded chunk. The lane's predLane
-// must already hold the chunk's prediction outcomes (predictChunk over the
-// same buf). Per-instruction, e.Seq is the chunk source's PC-sequentiality
+// stepChunk advances the lane by one decoded chunk; outs holds the chunk's
+// prediction outcomes for the lane's group (predictChunk over the same
+// buf). Per-instruction, e.Seq is the chunk source's PC-sequentiality
 // signal (isa.DecodedInstr.Seq); when the PC is additionally not
 // block-aligned, the instruction provably shares the previous
 // instruction's fetch block, so the block compare (and any i-cache
@@ -170,7 +179,7 @@ func newLane(cfg Config, h *mem.Hierarchy, pred *predLane, rec *timeline.Recorde
 // always correct — it is purely an accelerator. The lane's timing state is
 // staged into locals for the whole chunk, so the per-instruction stage
 // advance runs register-to-register.
-func (ln *lane) stepChunk(buf []isa.DecodedInstr) {
+func (ln *lane) stepChunk(buf []isa.DecodedInstr, outs *[laneChunk]predOut) {
 	cfg := &ln.cfg
 	var (
 		ft        = ln.ft
@@ -261,7 +270,7 @@ func (ln *lane) stepChunk(buf []isa.DecodedInstr) {
 			ln.h.Store(e.MemAddr)
 		case isa.Branch:
 			ln.res.Branches++
-			if o := ln.pred.outs[k]; o.mispred {
+			if o := outs[k]; o.mispred {
 				ln.res.Mispredicts++
 				redirect = ct + cfg.RedirectPenalty
 			} else if e.Taken && o.tgtMiss {
@@ -270,7 +279,7 @@ func (ln *lane) stepChunk(buf []isa.DecodedInstr) {
 				redirect = ct + cfg.RedirectPenalty
 			}
 		case isa.Jump, isa.Call, isa.Ret:
-			if ln.pred.outs[k].tgtMiss {
+			if outs[k].tgtMiss {
 				redirect = ct + cfg.RedirectPenalty
 			}
 		}
@@ -363,7 +372,7 @@ func (ln *lane) finish() Result {
 	}
 	ln.res.Instructions = ln.count
 	ln.res.Cycles = ln.cmt
-	ln.res.BPredStats = ln.pred.bp.Stats()
+	ln.res.BPredStats = ln.bp.Stats()
 	putRings(ln.rs)
 	ln.rs = nil
 	return ln.res
@@ -387,56 +396,268 @@ func RunLanes(src isa.ChunkSource, pipes []*Pipeline) []Result {
 	return out
 }
 
-// RunLanesCtx is RunLanes under a context. Cancellation is checked once per
-// decoded chunk — before the decode, so an abort never pays for another
-// decode-plus-N-lane pass — and a non-cancellable context costs nothing.
-// On cancellation every lane is finished (partial results, rings returned
-// to the pool) and the error wraps ErrAborted with the context's cause;
-// the partial results must be discarded.
+// RunLanesCtx is RunLanes under a context. Cancellation is checked before
+// the stream stage starts, before each chunk's decode — so an abort never
+// pays for another decode — and after the lanes step each chunk; a
+// non-cancellable context costs nothing. The stream stage reads at most
+// one ring of chunks ahead of the lanes, so a cancellation that the source
+// itself triggers may stop the lanes short of it. On cancellation the
+// stream stage is stopped, every lane is finished (partial results, rings
+// returned to the pool) and the error wraps ErrAborted with the context's
+// cause; the partial results must be discarded. A panic in the chunk
+// source or a predictor is re-raised on the caller's goroutine.
 func RunLanesCtx(ctx context.Context, src isa.ChunkSource, pipes []*Pipeline) ([]Result, error) {
+	return runLanes(ctx, src, pipes, runtime.GOMAXPROCS(0) > 1)
+}
+
+// runLanes is RunLanesCtx with the stream stage on its own goroutine when
+// ahead is set and on the caller's otherwise; the results are identical.
+func runLanes(ctx context.Context, src isa.ChunkSource, pipes []*Pipeline, ahead bool) ([]Result, error) {
 	if len(pipes) == 0 {
 		return nil, nil
 	}
 	lanes := make([]*lane, len(pipes))
-	var groups []*predLane
-	byCfg := make(map[bpred.Config]*predLane, 1)
+	var groups []*bpred.Predictor
+	byCfg := make(map[bpred.Config]int, 1)
 	for i, p := range pipes {
-		g := byCfg[p.bp.Config()]
-		if g == nil {
-			g = &predLane{bp: p.bp}
+		g, ok := byCfg[p.bp.Config()]
+		if !ok {
+			g = len(groups)
 			byCfg[p.bp.Config()] = g
-			groups = append(groups, g)
+			groups = append(groups, p.bp)
 		}
-		lanes[i] = newLane(p.cfg, p.h, g, p.rec)
-	}
-	finish := func() []Result {
-		out := make([]Result, len(lanes))
-		for i, ln := range lanes {
-			out[i] = ln.finish()
-		}
-		return out
+		lanes[i] = newLane(p.cfg, p.h, groups[g], g, p.rec)
 	}
 	done := ctx.Done()
-	var buf [laneChunk]isa.DecodedInstr
+	aborted := func() bool {
+		if done == nil {
+			return false
+		}
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	}
+	ended := !aborted() && stepLanes(lanes, startStream(src, groups, done, ahead), aborted)
+	out := make([]Result, len(lanes))
+	for i, ln := range lanes {
+		out[i] = ln.finish()
+	}
+	if !ended {
+		return out, abortErr(ctx, out[0].Instructions)
+	}
+	return out, nil
+}
+
+// stepLanes is the lane stage: it steps every lane over each chunk of the
+// slots the stream stage fills until the stream ends (true) or aborted
+// reports a cancellation (false). The stream stage has exited when
+// stepLanes returns, by a panic too, so the predictors are quiescent for
+// finish.
+func stepLanes(lanes []*lane, st *stream, aborted func() bool) bool {
+	defer st.stop()
 	for {
+		s := st.next()
+		for j := range s.n {
+			buf := s.buf[j][:s.lens[j]]
+			for _, ln := range lanes {
+				ln.stepChunk(buf, &s.outs[ln.group][j])
+			}
+			if aborted() {
+				return false
+			}
+		}
+		more := s.more
+		st.release(s)
+		if !more {
+			return !aborted()
+		}
+	}
+}
+
+// A ring slot carries slotChunks chunks, not one: handing off 256
+// instructions at a time costs a goroutine wake per ~12µs chunk, which eats
+// the overlap. ringSlots lets the stream stage fill one slot while the
+// lanes step another, with one filled slot queued between them.
+const (
+	slotChunks = 16
+	ringSlots  = 3
+)
+
+// slot is one unit of handoff between the stages: up to len(buf) decoded
+// chunks, n filled (chunk j holds lens[j] instructions), and per predictor
+// group each chunk's prediction outcomes. more is false on the stream's
+// last slot.
+type slot struct {
+	n    int
+	lens [slotChunks]int
+	more bool
+	buf  [][laneChunk]isa.DecodedInstr
+	outs [][slotChunks][laneChunk]predOut
+}
+
+// slotPool recycles slots (a ring slot is ~136 KiB) across passes: a pass
+// allocating its ring afresh grows a server's resident memory with its
+// request rate.
+var slotPool = sync.Pool{New: func() any { return new(slot) }}
+
+// getSlot returns a pooled slot holding chunks chunks for groups predictor
+// groups.
+func getSlot(chunks, groups int) *slot {
+	s := slotPool.Get().(*slot)
+	if cap(s.buf) < chunks {
+		s.buf = make([][laneChunk]isa.DecodedInstr, chunks)
+	}
+	s.buf = s.buf[:chunks]
+	if cap(s.outs) < groups {
+		s.outs = make([][slotChunks][laneChunk]predOut, groups)
+	}
+	s.outs = s.outs[:groups]
+	return s
+}
+
+// fill decodes up to len(s.buf) chunks of src into s and walks every
+// predictor group over each. done, the run's context, is checked before
+// each decode, so a cancelled run decodes no further chunk.
+func (s *slot) fill(src isa.ChunkSource, groups []*bpred.Predictor, done <-chan struct{}) {
+	s.n, s.more = 0, true
+	for s.n < len(s.buf) {
 		if done != nil {
 			select {
 			case <-done:
-				out := finish()
-				return out, abortErr(ctx, out[0].Instructions)
+				s.more = false
+				return
 			default:
 			}
 		}
-		n := src.NextChunk(buf[:])
-		if n == 0 {
-			break
+		buf := s.buf[s.n][:]
+		k := src.NextChunk(buf)
+		if k == 0 {
+			s.more = false
+			return
 		}
-		for _, g := range groups {
-			g.predictChunk(buf[:n])
+		for g, bp := range groups {
+			predictChunk(bp, buf[:k], &s.outs[g][s.n])
 		}
-		for _, ln := range lanes {
-			ln.stepChunk(buf[:n])
+		s.lens[s.n] = k
+		s.n++
+	}
+}
+
+// streamWait accumulates the nanoseconds lane stages spent blocked on an
+// empty ring, process-wide.
+var streamWait atomic.Int64
+
+// StreamWait returns the total time lane stages have spent waiting for the
+// stream stage, process-wide. Near zero means decode and prediction keep
+// ahead of the lanes; a large share of run time means passes are
+// decode-bound.
+func StreamWait() time.Duration { return time.Duration(streamWait.Load()) }
+
+// stream is the stream stage of one pass. Run ahead, it owns a goroutine
+// and a ring of ringSlots slots: free carries empty slots to it and full
+// carries filled slots back in stream order, each buffered to the ring size
+// so no send ever blocks. Otherwise next fills its one single-chunk slot on
+// the caller's goroutine, so the stages alternate per chunk.
+type stream struct {
+	src    isa.ChunkSource
+	groups []*bpred.Predictor
+	done   <-chan struct{}
+	slots  []*slot
+
+	full, free chan *slot
+	quit       chan struct{}
+	// panicVal is the stream goroutine's panic, if any; written before full
+	// is closed.
+	panicVal any
+}
+
+func startStream(src isa.ChunkSource, groups []*bpred.Predictor, done <-chan struct{}, ahead bool) *stream {
+	n, chunks := 1, 1
+	if ahead {
+		n, chunks = ringSlots, slotChunks
+	}
+	st := &stream{src: src, groups: groups, done: done, slots: make([]*slot, n)}
+	for i := range st.slots {
+		st.slots[i] = getSlot(chunks, len(groups))
+	}
+	if ahead {
+		st.full = make(chan *slot, ringSlots)
+		st.free = make(chan *slot, ringSlots)
+		st.quit = make(chan struct{})
+		for _, s := range st.slots {
+			st.free <- s
+		}
+		go st.run()
+	}
+	return st
+}
+
+// run is the stream goroutine. It exits after sending the last slot, on
+// quit, or on a panic, which it hands to the lane stage; full is closed on
+// every exit.
+func (st *stream) run() {
+	defer func() {
+		st.panicVal = recover()
+		close(st.full)
+	}()
+	for {
+		var s *slot
+		select {
+		case s = <-st.free:
+		case <-st.quit:
+			return
+		}
+		s.fill(st.src, st.groups, st.done)
+		st.full <- s
+		if !s.more {
+			return
 		}
 	}
-	return finish(), nil
+}
+
+// next returns the next filled slot in stream order, re-raising a panic of
+// the stream goroutine on the caller's. Only a receive that would block is
+// timed.
+func (st *stream) next() *slot {
+	if st.full == nil {
+		s := st.slots[0]
+		s.fill(st.src, st.groups, st.done)
+		return s
+	}
+	var s *slot
+	var ok bool
+	select {
+	case s, ok = <-st.full:
+	default:
+		start := time.Now()
+		s, ok = <-st.full
+		streamWait.Add(int64(time.Since(start)))
+	}
+	if !ok {
+		panic(st.panicVal)
+	}
+	return s
+}
+
+// release hands a stepped slot back to the stream stage.
+func (st *stream) release(s *slot) {
+	if st.free != nil {
+		st.free <- s
+	}
+}
+
+// stop ends the stream stage, waits for its goroutine to exit, and returns
+// the slots to the pool.
+func (st *stream) stop() {
+	if st.full != nil {
+		close(st.quit)
+		for range st.full {
+		}
+	}
+	for _, s := range st.slots {
+		slotPool.Put(s)
+	}
 }

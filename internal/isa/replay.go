@@ -21,7 +21,10 @@
 // regenerating the stream through the trace generator's PRNG machinery.
 package isa
 
-import "encoding/binary"
+import (
+	"context"
+	"encoding/binary"
+)
 
 // Meta-byte layout: class in the low four bits, flags above.
 const (
@@ -365,14 +368,32 @@ func (r *Recorder) Finish() *Replay {
 // chunk before encoding it measured about 10% slower than interleaving the
 // two.
 func RecordStream(s Stream, sizeHint uint64) (*Replay, bool) {
+	rep, exact, _ := RecordStreamCtx(context.Background(), s, sizeHint)
+	return rep, exact
+}
+
+// recordCheck is how many instructions RecordStreamCtx records between
+// context checks: tens of microseconds of recording, so a cancelled
+// recording stops promptly without a check per instruction.
+const recordCheck = 4096
+
+// RecordStreamCtx is RecordStream under a context, checked every
+// recordCheck instructions. On cancellation it abandons the recording and
+// returns a nil Replay with the context's cause; a non-cancellable context
+// costs nothing.
+func RecordStreamCtx(ctx context.Context, s Stream, sizeHint uint64) (*Replay, bool, error) {
 	r := NewRecorder(sizeHint)
 	src := Chunked(s)
+	done := ctx.Done()
 	var buf [1]DecodedInstr
-	for src.NextChunk(buf[:]) > 0 {
+	for i := uint(1); src.NextChunk(buf[:]) > 0; i++ {
 		r.add(&buf[0])
+		if done != nil && i%recordCheck == 0 && ctx.Err() != nil {
+			return nil, false, context.Cause(ctx)
+		}
 	}
 	exact := r.Exact()
-	return r.Finish(), exact
+	return r.Finish(), exact, nil
 }
 
 // clip returns b in a buffer of exactly len(b) bytes.

@@ -189,15 +189,22 @@ func runPass(ctx context.Context, cfgs []Config, prog trace.Program, labels ppro
 	pprof.Do(ctx, labels, func(ctx context.Context) {
 		_, sp := obs.StartSpan(ctx, "stream_decode")
 		sp.SetAttr("benchmark", prog.Name)
+		rep, rerr := trace.SharedStore().ReplayCtx(ctx, prog, budget)
+		sp.End()
+		if rerr != nil {
+			// Cancelled while recording the stream (or waiting on another
+			// request's recording): nothing was simulated.
+			err = abortedBeforeStart(ctx)
+			return
+		}
 		var src isa.ChunkSource
-		if rep := trace.SharedStore().Replay(prog, budget); rep != nil {
+		if rep != nil {
 			cur := rep.Cursor()
 			src = &cur
 		} else {
 			generated = true
 			src = isa.Chunked(prog.Stream(budget))
 		}
-		sp.End()
 
 		hs := make([]*mem.Hierarchy, len(cfgs))
 		pipes := make([]*cpu.Pipeline, len(cfgs))

@@ -10,6 +10,7 @@ package sim
 import (
 	"sync/atomic"
 
+	"dricache/internal/cpu"
 	"dricache/internal/obs"
 	"dricache/internal/policy"
 )
@@ -102,4 +103,7 @@ func RegisterMetrics(r *obs.Registry) {
 	r.NewCounterFunc("sim_lane_fallbacks_total",
 		"RunLanes simulations whose stream the trace store bypassed (sharing one generator pass).",
 		lane(func(s LaneStats) uint64 { return s.Fallbacks }))
+	r.NewCounterFunc("sim_lane_stream_wait_seconds_total",
+		"Time lane stages spent blocked on an empty ring, waiting for the stream stage's decode and prediction.",
+		func() float64 { return cpu.StreamWait().Seconds() })
 }

@@ -169,7 +169,8 @@ func RunCtx(ctx context.Context, cfg Config, prog trace.Program) Result {
 
 // RunCtxE is RunCtx with the abort surfaced: when ctx cancels (or its
 // deadline expires) mid-run, the pipeline stops at the next 256-instruction
-// chunk boundary and RunCtxE returns a zero Result plus an error wrapping
+// chunk boundary (a stream recording, every few thousand instructions) and
+// RunCtxE returns a zero Result plus an error wrapping
 // cpu.ErrAborted and the cancellation cause. Aborted runs are never
 // assembled or counted in the process-wide simulation telemetry.
 func RunCtxE(ctx context.Context, cfg Config, prog trace.Program) (Result, error) {

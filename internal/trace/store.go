@@ -19,6 +19,7 @@ package trace
 
 import (
 	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
@@ -91,11 +92,13 @@ func keyFor(p Program, totalInstrs uint64) storeKey {
 
 // storeEntry is one recording. done is closed when rep is populated (nil if
 // the recording was abandoned); waiters block on it without holding the
-// store lock.
+// store lock. cancelled, set before done is closed, marks a recording
+// abandoned because its recorder's context was cancelled.
 type storeEntry struct {
-	key  storeKey
-	done chan struct{}
-	rep  *isa.Replay
+	key       storeKey
+	done      chan struct{}
+	rep       *isa.Replay
+	cancelled bool
 	// elem is the entry's position in the LRU list once completed.
 	elem *list.Element
 }
@@ -204,7 +207,7 @@ func (s *Store) Stream(p Program, totalInstrs uint64) isa.Stream {
 	if err := p.Check(); err != nil {
 		panic(err)
 	}
-	if rep := s.replay(p, totalInstrs); rep != nil {
+	if rep, _ := s.replay(context.Background(), p, totalInstrs); rep != nil {
 		cur := rep.Cursor()
 		return &cur
 	}
@@ -215,10 +218,21 @@ func (s *Store) Stream(p Program, totalInstrs uint64) isa.Stream {
 // now if absent, or nil when the stream bypasses the store (budget too
 // small). The returned Replay is shared and immutable.
 func (s *Store) Replay(p Program, totalInstrs uint64) *isa.Replay {
+	rep, _ := s.ReplayCtx(context.Background(), p, totalInstrs)
+	return rep
+}
+
+// ReplayCtx is Replay under a context. A recording it makes checks ctx
+// every few thousand instructions and, on cancellation, is abandoned: the
+// store keeps no entry, and a request waiting on it whose own context is
+// live records the stream itself. When ctx is cancelled — while recording
+// or while waiting on another request's recording — ReplayCtx returns nil
+// and the context's cause.
+func (s *Store) ReplayCtx(ctx context.Context, p Program, totalInstrs uint64) (*isa.Replay, error) {
 	if err := p.Check(); err != nil {
 		panic(err)
 	}
-	return s.replay(p, totalInstrs)
+	return s.replay(ctx, p, totalInstrs)
 }
 
 // admitDivisor bounds a single recording to this fraction of the budget:
@@ -229,26 +243,44 @@ func (s *Store) Replay(p Program, totalInstrs uint64) *isa.Replay {
 // generator instead.
 const admitDivisor = 4
 
-func (s *Store) replay(p Program, totalInstrs uint64) *isa.Replay {
+func (s *Store) replay(ctx context.Context, p Program, totalInstrs uint64) (*isa.Replay, error) {
 	key := keyFor(p, totalInstrs)
 	s.mu.Lock()
 	// Completed (or in-flight) recordings are served regardless of the
 	// admission estimate; only new recordings are size-gated.
-	if ent, ok := s.entries[key]; ok {
+	for {
+		ent, ok := s.entries[key]
+		if !ok {
+			break
+		}
 		s.hits++
 		if ent.elem != nil {
 			s.lru.MoveToFront(ent.elem)
 		}
 		s.mu.Unlock()
-		<-ent.done
-		// rep is nil only if the recording was abandoned (inexact encoding);
-		// the entry was removed, so callers simply fall back this once.
-		return ent.rep
+		select {
+		case <-ent.done:
+		case <-ctx.Done():
+			s.mu.Lock()
+			s.hits--
+			s.mu.Unlock()
+			return nil, context.Cause(ctx)
+		}
+		if !ent.cancelled {
+			// rep is nil only if the recording was abandoned (inexact
+			// encoding or a panic); the entry was removed, so callers simply
+			// fall back this once.
+			return ent.rep, nil
+		}
+		// Its recorder gave up, but this request still wants the stream:
+		// claim a fresh recording (or join whoever claimed it first).
+		s.mu.Lock()
+		s.hits--
 	}
 	if s.budget <= 0 || int64(totalInstrs)*estBytesPerInstr > s.budget/admitDivisor {
 		s.bypasses++
 		s.mu.Unlock()
-		return nil
+		return nil, nil
 	}
 	ent := &storeEntry{key: key, done: make(chan struct{})}
 	s.entries[key] = ent
@@ -257,8 +289,8 @@ func (s *Store) replay(p Program, totalInstrs uint64) *isa.Replay {
 
 	// Record outside the lock; concurrent requests for the same stream are
 	// waiting on ent.done, requests for other streams proceed unhindered.
-	// On a generator panic (impossible after Check, but be safe) the entry
-	// is abandoned so later requests retry.
+	// On a generator panic (impossible after Check, but be safe) or a
+	// cancellation the entry is abandoned so later requests retry.
 	completed := false
 	defer func() {
 		if !completed {
@@ -284,14 +316,18 @@ func (s *Store) replay(p Program, totalInstrs uint64) *isa.Replay {
 		s.evictLocked()
 		s.mu.Unlock()
 		close(ent.done)
-		return rep
+		return rep, nil
 	}
 
-	rep, exact := isa.RecordStream(p.Stream(totalInstrs), totalInstrs)
+	rep, exact, err := isa.RecordStreamCtx(ctx, p.Stream(totalInstrs), totalInstrs)
+	if err != nil {
+		ent.cancelled = true
+		return nil, err
+	}
 	if !exact {
 		// The generator emitted something outside the encoding envelope;
 		// do not serve (or cache) a lossy recording.
-		return nil
+		return nil, nil
 	}
 	completed = true
 
@@ -303,5 +339,5 @@ func (s *Store) replay(p Program, totalInstrs uint64) *isa.Replay {
 	s.mu.Unlock()
 	close(ent.done)
 	s.storePersisted(key, rep)
-	return rep
+	return rep, nil
 }

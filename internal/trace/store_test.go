@@ -1,6 +1,10 @@
 package trace
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -209,5 +213,73 @@ func TestSharedStoreStreamFor(t *testing.T) {
 	if after := SharedStore().Stats(); after.Hits+after.Misses+after.Bypasses ==
 		before.Hits+before.Misses+before.Bypasses {
 		t.Fatal("StreamFor did not touch the shared store")
+	}
+}
+
+// gateCtx is a context that reports nothing until release is closed and
+// then blocks its first Err call there: a recording under it stalls at its
+// first context check until the test releases it as cancelled.
+type gateCtx struct {
+	context.Context
+	release chan struct{}
+}
+
+func (c gateCtx) Done() <-chan struct{} { return c.release }
+
+func (c gateCtx) Err() error {
+	<-c.release
+	return context.Canceled
+}
+
+// TestStoreCancelledRecording: a recording whose context is cancelled is
+// abandoned — the store keeps no entry — and a request already waiting on
+// it with a live context records the stream itself, bit-identical to the
+// generator's; a later Replay is served that recording.
+func TestStoreCancelledRecording(t *testing.T) {
+	prog, err := ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 50_000
+	want, _ := isa.RecordStream(prog.Stream(n), n)
+	store := NewStore(DefaultStoreBudget)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if rep, err := store.ReplayCtx(ctx, prog, n); rep != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled recording returned (%v, %v), want (nil, context.Canceled)", rep, err)
+	}
+	if st := store.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("cancelled recording left an entry: %+v", st)
+	}
+
+	gate := gateCtx{Context: context.Background(), release: make(chan struct{})}
+	claimed := make(chan error, 1)
+	before := store.Stats()
+	go func() {
+		_, err := store.ReplayCtx(gate, prog, n)
+		claimed <- err
+	}()
+	waited := make(chan *isa.Replay, 1)
+	for store.Stats().Misses == before.Misses {
+		runtime.Gosched() // until the gated request claims the recording
+	}
+	go func() { waited <- store.Replay(prog, n) }()
+	for store.Stats().Hits == before.Hits {
+		runtime.Gosched() // until the live request waits on it
+	}
+	close(gate.release)
+	if err := <-claimed; !errors.Is(err, context.Canceled) {
+		t.Fatalf("gated recording returned %v, want context.Canceled", err)
+	}
+	got := <-waited
+	if got == nil || !bytes.Equal(got.MarshalBinary(), want.MarshalBinary()) {
+		t.Fatal("the waiter's own recording differs from the generator's")
+	}
+	if again := store.Replay(prog, n); again != got {
+		t.Fatal("a later Replay was not served the waiter's recording")
+	}
+	if st := store.Stats(); st.Entries != 1 {
+		t.Fatalf("entries = %d after the re-claimed recording, want 1", st.Entries)
 	}
 }
