@@ -5,20 +5,23 @@
 // configurations; decoding (or, when the trace store bypasses the stream,
 // generating) the stream once and stepping every lane lock-step removes
 // the per-configuration decode (and, for lanes with equal predictor
-// configurations, the branch-predictor walk) from the sweep's critical
-// path while keeping every lane bit-identical to running alone.
+// configurations, the branch-predictor walk; for lanes with equal L1
+// d-cache geometries, the L1D walk) from the sweep's critical path while
+// keeping every lane bit-identical to running alone.
 //
 // A pass runs in two stages. The stream stage decodes the source and walks
-// each predictor group, filling ring slots of up to slotChunks chunks; the
-// lane stage steps every lane over each slot. With more than one P the
-// stream stage runs ahead on its own goroutine, so a solo run pays only for
-// the stage advance; with one P both stages run in turn on the caller's
-// goroutine a chunk at a time (a second goroutine would only add
-// handoffs).
+// each predictor group and each L1D group, filling ring slots of up to
+// slotChunks chunks; the lane stage steps every lane over each slot, each
+// lane charging its own L2 and memory for the L1D misses the slot names.
+// With more than one P the stream stage runs ahead on its own goroutine, so
+// a solo run pays only for the stage advance; with one P both stages run in
+// turn on the caller's goroutine a chunk at a time (a second goroutine
+// would only add handoffs).
 package cpu
 
 import (
 	"context"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -76,6 +79,46 @@ func predictChunk(bp *bpred.Predictor, buf []isa.DecodedInstr, outs *[laneChunk]
 	}
 }
 
+// L1D outcome flags. A memory instruction's L1D outcome is one word: 0 for
+// a hit; for a miss, l1dMiss, plus l1dDirty and the dirty victim's block
+// address shifted above the two flags when the fill evicted a dirty block.
+// An L1D block is at least 4 bytes (mem.Config.Check), so a block address
+// has two bits to spare.
+const (
+	l1dMiss  = 1
+	l1dDirty = 2
+)
+
+// l1dGroup is one L1D group's walker: the group leader's own L1 d-cache and
+// the shift from a byte address to its block address.
+type l1dGroup struct {
+	dc    *dri.DataCache
+	shift uint
+}
+
+// walk runs the group's cache over a decoded chunk, recording each memory
+// instruction's outcome in outs (other entries are left as they are). The
+// L1D never resizes and carries no policy, so its hits, misses and dirty
+// victims are a pure function of the data-address stream and its geometry:
+// lanes with equal L1D geometries — over the same stream — see identical
+// outcomes, and the leader's cache is walked once per chunk for the whole
+// group.
+func (g l1dGroup) walk(buf []isa.DecodedInstr, outs *[laneChunk]uint64) {
+	for k := range buf {
+		e := &buf[k]
+		if !e.Cls.IsMem() {
+			continue
+		}
+		var o uint64
+		if hit, wb, dirty := g.dc.AccessDataWB(e.MemAddr>>g.shift, e.Cls == isa.Store); dirty {
+			o = wb<<2 | l1dDirty | l1dMiss
+		} else if !hit {
+			o = l1dMiss
+		}
+		outs[k] = o
+	}
+}
+
 // lane is the complete per-simulation timing state of one configuration:
 // stage rings, dataflow scoreboard, fetch/commit cursors, and the lane's
 // own memory hierarchy. One lane advanced by stepChunk over a decoded
@@ -87,7 +130,10 @@ type lane struct {
 	// reads its outcomes from the slot's outs[group].
 	bp    *bpred.Predictor
 	group int
-	rs    *rings
+	// dgroup is the lane's L1D group: the lane reads its L1D outcomes from
+	// the slot's douts[dgroup] and never touches its own L1D.
+	dgroup int
+	rs     *rings
 
 	fetchRing    []uint64
 	dispatchRing []uint64
@@ -138,7 +184,7 @@ type lane struct {
 
 // newLane builds the per-run state for one configuration over its own
 // hierarchy, drawing the stage rings from the shared pool.
-func newLane(cfg Config, h *mem.Hierarchy, bp *bpred.Predictor, group int, rec *timeline.Recorder) *lane {
+func newLane(cfg Config, h *mem.Hierarchy, bp *bpred.Predictor, group, dgroup int, rec *timeline.Recorder) *lane {
 	rs := getRings(&cfg)
 	var memo *dri.Cache
 	if ic := h.ICache(); ic.WayMemoEnabled() {
@@ -153,6 +199,7 @@ func newLane(cfg Config, h *mem.Hierarchy, bp *bpred.Predictor, group int, rec *
 		h:            h,
 		bp:           bp,
 		group:        group,
+		dgroup:       dgroup,
 		rs:           rs,
 		fetchRing:    rs.fetch,
 		dispatchRing: rs.dispatch,
@@ -170,16 +217,18 @@ func newLane(cfg Config, h *mem.Hierarchy, bp *bpred.Predictor, group int, rec *
 }
 
 // stepChunk advances the lane by one decoded chunk; outs holds the chunk's
-// prediction outcomes for the lane's group (predictChunk over the same
-// buf). Per-instruction, e.Seq is the chunk source's PC-sequentiality
-// signal (isa.DecodedInstr.Seq); when the PC is additionally not
-// block-aligned, the instruction provably shares the previous
-// instruction's fetch block, so the block compare (and any i-cache
-// traffic) is skipped without consulting curBlock. A constant-false Seq is
-// always correct — it is purely an accelerator. The lane's timing state is
-// staged into locals for the whole chunk, so the per-instruction stage
-// advance runs register-to-register.
-func (ln *lane) stepChunk(buf []isa.DecodedInstr, outs *[laneChunk]predOut) {
+// prediction outcomes for the lane's predictor group (predictChunk over the
+// same buf) and douts its L1D outcomes for the lane's L1D group
+// (l1dGroup.walk over the same buf), whose misses the lane charges to its
+// own L2 and memory through mem.Hierarchy.L1DMiss. Per-instruction, e.Seq
+// is the chunk source's PC-sequentiality signal (isa.DecodedInstr.Seq);
+// when the PC is additionally not block-aligned, the instruction provably
+// shares the previous instruction's fetch block, so the block compare (and
+// any i-cache traffic) is skipped without consulting curBlock. A
+// constant-false Seq is always correct — it is purely an accelerator. The
+// lane's timing state is staged into locals for the whole chunk, so the
+// per-instruction stage advance runs register-to-register.
+func (ln *lane) stepChunk(buf []isa.DecodedInstr, outs *[laneChunk]predOut, douts *[laneChunk]uint64) {
 	cfg := &ln.cfg
 	var (
 		ft        = ln.ft
@@ -264,10 +313,14 @@ func (ln *lane) stepChunk(buf []isa.DecodedInstr, outs *[laneChunk]predOut) {
 		switch cls {
 		case isa.Load:
 			ln.res.Loads++
-			ct += ln.h.Load(e.MemAddr)
+			if o := douts[k]; o != 0 {
+				ct += ln.h.L1DMiss(e.MemAddr, o>>2, o&l1dDirty != 0)
+			}
 		case isa.Store:
 			ln.res.Stores++
-			ln.h.Store(e.MemAddr)
+			if o := douts[k]; o != 0 {
+				ln.h.L1DMiss(e.MemAddr, o>>2, o&l1dDirty != 0)
+			}
 		case isa.Branch:
 			ln.res.Branches++
 			if o := outs[k]; o.mispred {
@@ -386,11 +439,17 @@ func (ln *lane) finish() Result {
 // stream; the lanes share only the immutable decoded instruction values.
 //
 // Lanes whose predictors have equal configurations additionally share one
-// branch-predictor walk (the group's first predictor); prediction is
-// stream-driven, so the shared outcomes and statistics are exactly those a
-// solo run would compute. Every pipeline must be freshly constructed — a
-// predictor that has already consumed instructions would diverge from its
-// group.
+// branch-predictor walk (the group's first predictor), and lanes whose
+// hierarchies have equal L1 d-cache geometries (size, block, associativity)
+// share one L1D walk (the group's first hierarchy's DCache); prediction and
+// the L1D are stream-driven, so the shared outcomes and statistics are
+// exactly those a solo run would compute. Every pipeline must be freshly
+// constructed, and so must every hierarchy's L1D — a predictor or an L1D
+// that has already consumed instructions would diverge from its group. A
+// group leader's state is used as it is, so a one-lane pass over a reused
+// hierarchy runs exactly as the same solo pipeline always has. After a pass
+// only a group leader's DCache holds state; the other lanes' L1Ds are left
+// untouched, and nothing in a lane's Result or mem.Stats reads them.
 func RunLanes(src isa.ChunkSource, pipes []*Pipeline) []Result {
 	out, _ := RunLanesCtx(context.Background(), src, pipes)
 	return out
@@ -418,7 +477,11 @@ func runLanes(ctx context.Context, src isa.ChunkSource, pipes []*Pipeline, ahead
 	}
 	lanes := make([]*lane, len(pipes))
 	var groups []*bpred.Predictor
+	var dgroups []l1dGroup
 	byCfg := make(map[bpred.Config]int, 1)
+	// An L1D's dri.Config is its geometry (mem.L1DConfig minus the unused
+	// Name): it never has resizing Params.
+	byL1D := make(map[dri.Config]int, 1)
 	for i, p := range pipes {
 		g, ok := byCfg[p.bp.Config()]
 		if !ok {
@@ -426,7 +489,14 @@ func runLanes(ctx context.Context, src isa.ChunkSource, pipes []*Pipeline, ahead
 			byCfg[p.bp.Config()] = g
 			groups = append(groups, p.bp)
 		}
-		lanes[i] = newLane(p.cfg, p.h, groups[g], g, p.rec)
+		dc := p.h.DCache()
+		dg, ok := byL1D[dc.Config()]
+		if !ok {
+			dg = len(dgroups)
+			byL1D[dc.Config()] = dg
+			dgroups = append(dgroups, l1dGroup{dc: dc, shift: uint(bits.TrailingZeros(uint(dc.Config().BlockBytes)))})
+		}
+		lanes[i] = newLane(p.cfg, p.h, groups[g], g, dg, p.rec)
 	}
 	done := ctx.Done()
 	aborted := func() bool {
@@ -440,7 +510,7 @@ func runLanes(ctx context.Context, src isa.ChunkSource, pipes []*Pipeline, ahead
 			return false
 		}
 	}
-	ended := !aborted() && stepLanes(lanes, startStream(src, groups, done, ahead), aborted)
+	ended := !aborted() && stepLanes(lanes, startStream(src, groups, dgroups, done, ahead), aborted)
 	out := make([]Result, len(lanes))
 	for i, ln := range lanes {
 		out[i] = ln.finish()
@@ -463,7 +533,7 @@ func stepLanes(lanes []*lane, st *stream, aborted func() bool) bool {
 		for j := range s.n {
 			buf := s.buf[j][:s.lens[j]]
 			for _, ln := range lanes {
-				ln.stepChunk(buf, &s.outs[ln.group][j])
+				ln.stepChunk(buf, &s.outs[ln.group][j], &s.douts[ln.dgroup][j])
 			}
 			if aborted() {
 				return false
@@ -487,25 +557,26 @@ const (
 )
 
 // slot is one unit of handoff between the stages: up to len(buf) decoded
-// chunks, n filled (chunk j holds lens[j] instructions), and per predictor
-// group each chunk's prediction outcomes. more is false on the stream's
-// last slot.
+// chunks, n filled (chunk j holds lens[j] instructions), per predictor
+// group each chunk's prediction outcomes, and per L1D group each chunk's
+// L1D outcomes. more is false on the stream's last slot.
 type slot struct {
-	n    int
-	lens [slotChunks]int
-	more bool
-	buf  [][laneChunk]isa.DecodedInstr
-	outs [][slotChunks][laneChunk]predOut
+	n     int
+	lens  [slotChunks]int
+	more  bool
+	buf   [][laneChunk]isa.DecodedInstr
+	outs  [][slotChunks][laneChunk]predOut
+	douts [][slotChunks][laneChunk]uint64
 }
 
-// slotPool recycles slots (a ring slot is ~136 KiB) across passes: a pass
-// allocating its ring afresh grows a server's resident memory with its
-// request rate.
+// slotPool recycles slots (a ring slot is ~168 KiB with one predictor and
+// one L1D group) across passes: a pass allocating its ring afresh grows a
+// server's resident memory with its request rate.
 var slotPool = sync.Pool{New: func() any { return new(slot) }}
 
 // getSlot returns a pooled slot holding chunks chunks for groups predictor
-// groups.
-func getSlot(chunks, groups int) *slot {
+// groups and dgroups L1D groups.
+func getSlot(chunks, groups, dgroups int) *slot {
 	s := slotPool.Get().(*slot)
 	if cap(s.buf) < chunks {
 		s.buf = make([][laneChunk]isa.DecodedInstr, chunks)
@@ -515,13 +586,18 @@ func getSlot(chunks, groups int) *slot {
 		s.outs = make([][slotChunks][laneChunk]predOut, groups)
 	}
 	s.outs = s.outs[:groups]
+	if cap(s.douts) < dgroups {
+		s.douts = make([][slotChunks][laneChunk]uint64, dgroups)
+	}
+	s.douts = s.douts[:dgroups]
 	return s
 }
 
 // fill decodes up to len(s.buf) chunks of src into s and walks every
-// predictor group over each. done, the run's context, is checked before
-// each decode, so a cancelled run decodes no further chunk.
-func (s *slot) fill(src isa.ChunkSource, groups []*bpred.Predictor, done <-chan struct{}) {
+// predictor group and every L1D group over each. done, the run's context,
+// is checked before each decode, so a cancelled run decodes no further
+// chunk.
+func (s *slot) fill(src isa.ChunkSource, groups []*bpred.Predictor, dgroups []l1dGroup, done <-chan struct{}) {
 	s.n, s.more = 0, true
 	for s.n < len(s.buf) {
 		if done != nil {
@@ -540,6 +616,9 @@ func (s *slot) fill(src isa.ChunkSource, groups []*bpred.Predictor, done <-chan 
 		}
 		for g, bp := range groups {
 			predictChunk(bp, buf[:k], &s.outs[g][s.n])
+		}
+		for g, dg := range dgroups {
+			dg.walk(buf[:k], &s.douts[g][s.n])
 		}
 		s.lens[s.n] = k
 		s.n++
@@ -562,10 +641,11 @@ func StreamWait() time.Duration { return time.Duration(streamWait.Load()) }
 // so no send ever blocks. Otherwise next fills its one single-chunk slot on
 // the caller's goroutine, so the stages alternate per chunk.
 type stream struct {
-	src    isa.ChunkSource
-	groups []*bpred.Predictor
-	done   <-chan struct{}
-	slots  []*slot
+	src     isa.ChunkSource
+	groups  []*bpred.Predictor
+	dgroups []l1dGroup
+	done    <-chan struct{}
+	slots   []*slot
 
 	full, free chan *slot
 	quit       chan struct{}
@@ -574,14 +654,14 @@ type stream struct {
 	panicVal any
 }
 
-func startStream(src isa.ChunkSource, groups []*bpred.Predictor, done <-chan struct{}, ahead bool) *stream {
+func startStream(src isa.ChunkSource, groups []*bpred.Predictor, dgroups []l1dGroup, done <-chan struct{}, ahead bool) *stream {
 	n, chunks := 1, 1
 	if ahead {
 		n, chunks = ringSlots, slotChunks
 	}
-	st := &stream{src: src, groups: groups, done: done, slots: make([]*slot, n)}
+	st := &stream{src: src, groups: groups, dgroups: dgroups, done: done, slots: make([]*slot, n)}
 	for i := range st.slots {
-		st.slots[i] = getSlot(chunks, len(groups))
+		st.slots[i] = getSlot(chunks, len(groups), len(dgroups))
 	}
 	if ahead {
 		st.full = make(chan *slot, ringSlots)
@@ -610,7 +690,7 @@ func (st *stream) run() {
 		case <-st.quit:
 			return
 		}
-		s.fill(st.src, st.groups, st.done)
+		s.fill(st.src, st.groups, st.dgroups, st.done)
 		st.full <- s
 		if !s.more {
 			return
@@ -624,7 +704,7 @@ func (st *stream) run() {
 func (st *stream) next() *slot {
 	if st.full == nil {
 		s := st.slots[0]
-		s.fill(st.src, st.groups, st.done)
+		s.fill(st.src, st.groups, st.dgroups, st.done)
 		return s
 	}
 	var s *slot

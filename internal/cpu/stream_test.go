@@ -10,8 +10,10 @@ import (
 	"time"
 
 	"dricache/internal/bpred"
+	"dricache/internal/dri"
 	"dricache/internal/isa"
 	"dricache/internal/mem"
+	"dricache/internal/policy"
 	"dricache/internal/timeline"
 	"dricache/internal/trace"
 )
@@ -215,6 +217,172 @@ func TestRunLanesStreamStageExits(t *testing.T) {
 		}
 		if got := runtime.NumGoroutine(); got > before {
 			t.Errorf("%s: %d goroutines after the pass, %d before", c.name, got, before)
+		}
+	}
+}
+
+// l1dGroupLane is lane i of the L1D-group test: its L1D geometry is
+// geoms[order[i]], and its L1I (conventional or resizing), L2 policy
+// (conventional or drowsy) and predictor vary on their own cycles, so an
+// L1D group spans lanes that share nothing else.
+type l1dGroupLane struct {
+	h *mem.Hierarchy
+	p *Pipeline
+}
+
+var (
+	// Geometries 1, 2 and 4 differ from one another in one field each, and
+	// from 0 in its size.
+	l1dGeoms = []mem.L1DConfig{
+		{Name: "L1D", SizeBytes: 64 << 10, BlockBytes: 32, Assoc: 2}, // Table 1
+		{Name: "L1D", SizeBytes: 4 << 10, BlockBytes: 32, Assoc: 2},
+		{Name: "L1D", SizeBytes: 4 << 10, BlockBytes: 64, Assoc: 2}, // an L1D block is an L2 block
+		{Name: "L1D", SizeBytes: 32, BlockBytes: 32, Assoc: 1},      // one block: dirty victims galore
+		{Name: "L1D", SizeBytes: 4 << 10, BlockBytes: 32, Assoc: 4},
+	}
+	l1dOrder = []int{0, 1, 2, 0, 3, 1, 4, 0, 2, 3, 4, 1}
+)
+
+func newL1DGroupLane(i int) l1dGroupLane {
+	conv, resizing := l1iConfigs()
+	l1i := conv
+	if i%2 == 1 {
+		l1i = resizing
+	}
+	mc := mem.DefaultConfig(l1i)
+	mc.L1D = l1dGeoms[l1dOrder[i]]
+	if i == 7 {
+		// Name is not geometry: this lane joins the Table 1 group.
+		mc.L1D.Name = "renamed"
+	}
+	if i%3 == 2 {
+		mc.L2Policy = policy.Config{
+			Kind: policy.Drowsy, IntervalInstructions: 2000,
+			WakeupCycles: 7, DrowsyLeakFraction: 0.15,
+		}
+	}
+	bc := bpred.DefaultConfig()
+	if i%4 == 3 {
+		bc.BTBEntries = 256
+		bc.HistoryBits = 8
+	}
+	h := mem.New(mc)
+	return l1dGroupLane{h: h, p: New(DefaultConfig(), h, h, bpred.New(bc), h)}
+}
+
+// l1dLaneOutcome is what one lane's pass leaves behind.
+type l1dLaneOutcome struct {
+	res Result
+	mem mem.Stats
+	l2  dri.DataStats
+	l1d dri.DataStats
+}
+
+func (l l1dGroupLane) outcome(res Result) l1dLaneOutcome {
+	l.h.Finish(res.Cycles)
+	return l1dLaneOutcome{res: res, mem: l.h.Stats(), l2: l.h.L2().DataStats(), l1d: l.h.DCache().DataStats()}
+}
+
+// TestRunLanesL1DGroups pins L1D groups to solo runs: one pass mixes five
+// L1D geometries, interleaved with lanes of equal geometry (one of them
+// under another Name), and every lane's cpu.Result, mem.Stats and L2
+// statistics must be bit-identical to its own one-lane pass. A group
+// leader's L1D ends in its solo run's state; every other lane's L1D is left
+// untouched. Both stage placements run over a replay cursor and over the
+// generator's own chunk source.
+func TestRunLanesL1DGroups(t *testing.T) {
+	const n = 60_000
+	prog, err := trace.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, exact := isa.RecordStream(prog.Stream(n), n)
+	if !exact {
+		t.Fatal("recording inexact")
+	}
+	sources := []struct {
+		name string
+		open func() isa.ChunkSource
+	}{
+		{"replay", func() isa.ChunkSource { cur := rep.Cursor(); return &cur }},
+		{"generator", func() isa.ChunkSource { return isa.Chunked(prog.Stream(n)) }},
+	}
+	for _, src := range sources {
+		for _, ahead := range []bool{false, true} {
+			name := fmt.Sprintf("%s/ahead=%v", src.name, ahead)
+			solo := make([]l1dLaneOutcome, len(l1dOrder))
+			for i := range solo {
+				l := newL1DGroupLane(i)
+				res, err := runLanes(context.Background(), src.open(), []*Pipeline{l.p}, ahead)
+				if err != nil {
+					t.Fatal(err)
+				}
+				solo[i] = l.outcome(res[0])
+			}
+			ls := make([]l1dGroupLane, len(l1dOrder))
+			pipes := make([]*Pipeline, len(ls))
+			for i := range ls {
+				ls[i] = newL1DGroupLane(i)
+				pipes[i] = ls[i].p
+			}
+			res, err := runLanes(context.Background(), src.open(), pipes, ahead)
+			if err != nil {
+				t.Fatal(err)
+			}
+			leader := map[int]bool{}
+			for i, l := range ls {
+				got := l.outcome(res[i])
+				if got.res.Instructions != n {
+					t.Fatalf("%s: lane %d ran %d instructions, want %d", name, i, got.res.Instructions, n)
+				}
+				if got.res != solo[i].res || got.mem != solo[i].mem || got.l2 != solo[i].l2 {
+					t.Fatalf("%s: lane %d (L1D %+v) diverged from its solo pass:\n  lane %+v\n  solo %+v",
+						name, i, l1dGeoms[l1dOrder[i]], got, solo[i])
+				}
+				switch g := l1dOrder[i]; {
+				case !leader[g]:
+					leader[g] = true
+					if got.l1d != solo[i].l1d {
+						t.Fatalf("%s: leader lane %d's L1D %+v, solo %+v", name, i, got.l1d, solo[i].l1d)
+					}
+				case got.l1d != (dri.DataStats{}):
+					t.Fatalf("%s: lane %d's own L1D was touched: %+v", name, i, got.l1d)
+				}
+			}
+			if len(leader) != len(l1dGeoms) {
+				t.Fatalf("%s: %d L1D groups, want %d", name, len(leader), len(l1dGeoms))
+			}
+			if solo[4].l1d.Writebacks == 0 || solo[2].l2.Writebacks == 0 {
+				t.Fatalf("%s: the stream left no dirty victim to share", name)
+			}
+		}
+	}
+}
+
+// TestTimelineSamplesAtChunkBoundary pins interval sampling when intervals
+// end exactly on chunk boundaries: with IntervalInstructions a multiple of
+// laneChunk, every recorded point ends on a multiple of the interval.
+func TestTimelineSamplesAtChunkBoundary(t *testing.T) {
+	const interval = 8 * laneChunk
+	const n = 10 * interval
+	rep := recordBench(t, "gcc", n)
+	for _, ahead := range []bool{false, true} {
+		h := testHierarchy()
+		p := New(DefaultConfig(), h, h, nil, h)
+		rec := timeline.NewRecorder(timeline.Config{Enabled: true, IntervalInstructions: interval}, 0, timeline.EnergyRates{})
+		p.SetTimeline(rec)
+		cur := rep.Cursor()
+		if _, err := runLanes(context.Background(), &cur, []*Pipeline{p}, ahead); err != nil {
+			t.Fatal(err)
+		}
+		pts := rec.Series().Points
+		if len(pts) != n/interval {
+			t.Fatalf("ahead=%v: %d points, want %d", ahead, len(pts), n/interval)
+		}
+		for i, pt := range pts {
+			if want := uint64(i+1) * interval; pt.EndInstructions != want {
+				t.Fatalf("ahead=%v: point %d ends at %d instructions, want %d", ahead, i, pt.EndInstructions, want)
+			}
 		}
 	}
 }

@@ -118,8 +118,21 @@ func (d *DataCache) noteGatedFrame(frame int, fromResize bool) {
 }
 
 // AccessData performs a read (write=false) or write (write=true) of the
-// given block address with write-allocate semantics and reports a hit.
+// given block address with write-allocate semantics and reports a hit. A
+// dirty victim goes to the writeback handler.
 func (d *DataCache) AccessData(block uint64, write bool) bool {
+	hit, wb, dirty := d.AccessDataWB(block, write)
+	if dirty && d.onWriteback != nil {
+		d.onWriteback(wb, WBDemand)
+	}
+	return hit
+}
+
+// AccessDataWB is AccessData that returns the demand writeback instead of
+// calling the handler: on a miss that evicts a dirty block, dirty is set and
+// wb is that block's address. The caller owns the writeback; it is counted
+// in Writebacks all the same.
+func (d *DataCache) AccessDataWB(block uint64, write bool) (hit bool, wb uint64, dirty bool) {
 	if write {
 		d.dstats.Writes++
 	}
@@ -134,7 +147,7 @@ func (d *DataCache) AccessData(block uint64, write bool) bool {
 			if write {
 				d.dirty[c.memoFrame[e]] = true
 			}
-			return true
+			return true, 0, false
 		}
 	}
 	c.stats.Accesses++
@@ -156,7 +169,7 @@ func (d *DataCache) AccessData(block uint64, write bool) bool {
 			if c.onAccess != nil {
 				c.onAccess(i, true)
 			}
-			return true
+			return true, 0, false
 		}
 	}
 	c.stats.Misses++
@@ -164,9 +177,7 @@ func (d *DataCache) AccessData(block uint64, write bool) bool {
 	victim := d.fillVictim(base)
 	if c.valid[victim] && d.dirty[victim] {
 		d.dstats.Writebacks++
-		if d.onWriteback != nil {
-			d.onWriteback(c.tags[victim], WBDemand)
-		}
+		wb, dirty = c.tags[victim], true
 	}
 	c.stats.Fills++
 	c.tags[victim] = block
@@ -181,7 +192,7 @@ func (d *DataCache) AccessData(block uint64, write bool) bool {
 	if c.onAccess != nil {
 		c.onAccess(victim, false)
 	}
-	return false
+	return false, wb, dirty
 }
 
 // fillVictim picks the fill frame (first invalid way, else LRU) without

@@ -229,6 +229,51 @@ func TestSizeBoundPreventsThrashing(t *testing.T) {
 	}
 }
 
+// TestMissesAtTheBoundHold pins the decision rule's "equal holds" (Figure
+// 1): an interval whose miss count equals the miss-bound exactly neither
+// resizes nor counts a size-bound hit or a blocked downsize — at full size,
+// and again at the size-bound floor.
+func TestMissesAtTheBoundHold(t *testing.T) {
+	const bound = 40
+	cfg := cfg64K(1000, bound)
+	c := New(cfg)
+	cycles := uint64(0)
+	fresh := uint64(1 << 20) // never-seen blocks: every access misses
+	interval := func(misses int) {
+		for j := 0; j < misses; j++ {
+			c.AccessBlock(fresh)
+			fresh++
+		}
+		cycles += 1000
+		c.Advance(1000, cycles)
+	}
+	hold := func(where string, wantBytes int) {
+		t.Helper()
+		before, events := c.Stats(), len(c.Events())
+		interval(bound)
+		s := c.Stats()
+		switch {
+		case s.Misses-before.Misses != bound:
+			t.Fatalf("%s: interval missed %d times, want %d", where, s.Misses-before.Misses, bound)
+		case len(c.Events()) != events || c.ActiveBytes() != wantBytes:
+			t.Fatalf("%s: resized at misses == bound: events %v, active %d", where, c.Events(), c.ActiveBytes())
+		case s.SizeBoundHits != before.SizeBoundHits:
+			t.Fatalf("%s: counted a size-bound hit at misses == bound", where)
+		case s.BlockedDownsizes != before.BlockedDownsizes:
+			t.Fatalf("%s: counted a blocked downsize at misses == bound", where)
+		}
+	}
+	hold("full size", cfg.SizeBytes)
+	// Quiet intervals walk the cache down to its floor.
+	for i := 0; i < 10 && c.ActiveBytes() > cfg.Params.SizeBoundBytes; i++ {
+		interval(0)
+	}
+	if c.ActiveBytes() != cfg.Params.SizeBoundBytes {
+		t.Fatalf("quiet intervals left %d active bytes, want the %d-byte floor", c.ActiveBytes(), cfg.Params.SizeBoundBytes)
+	}
+	hold("floor", cfg.Params.SizeBoundBytes)
+}
+
 func TestThrottleDampsOscillation(t *testing.T) {
 	// Alternate intervals of tiny and huge miss counts force up/down
 	// ping-pong between two adjacent sizes; the throttle must engage and

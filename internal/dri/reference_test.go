@@ -136,7 +136,9 @@ func TestWritebackConservation(t *testing.T) {
 // FuzzDataCacheMatchesReference draws a geometry and a read/write block
 // stream from the fuzz bytes and drives a non-resizing DataCache and the
 // reference model with it: every hit or miss, every writeback block, and
-// the final dirty count must match.
+// the final dirty count must match. A second DataCache driven through
+// AccessDataWB must return, access for access, the hit and the victim the
+// first one's handler receives through AccessData.
 func FuzzDataCacheMatchesReference(f *testing.F) {
 	f.Add(uint8(0), uint8(0), []byte{1, 0x81, 1, 2, 0x82, 1})
 	f.Add(uint8(2), uint8(1), []byte{0x80, 4, 8, 0x8c, 0, 4, 8, 12, 16, 0x90, 0})
@@ -145,7 +147,7 @@ func FuzzDataCacheMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, setsLog, assocLog uint8, stream []byte) {
 		sets, assoc := 1<<(setsLog%6), 1<<(assocLog%4) // 1..32 sets, 1..8 ways
 		cfg := conventionalData(sets*assoc*32, assoc)
-		d := NewData(cfg)
+		d, split := NewData(cfg), NewData(cfg)
 		ref := newRefCache(sets, assoc)
 		var got []uint64
 		d.SetWritebackHandler(func(b uint64, _ WritebackCause) { got = append(got, b) })
@@ -164,9 +166,21 @@ func FuzzDataCacheMatchesReference(f *testing.F) {
 			case !wb && len(got) != 0:
 				t.Fatalf("access %d: writebacks %v, reference none", i, got)
 			}
+			hit, victim, dirty := split.AccessDataWB(block, write)
+			switch {
+			case hit != refHit:
+				t.Fatalf("access %d: AccessDataWB hit=%v, reference %v", i, hit, refHit)
+			case dirty != (len(got) == 1):
+				t.Fatalf("access %d: AccessDataWB dirty=%v, handler got %v", i, dirty, got)
+			case dirty && victim != got[0]:
+				t.Fatalf("access %d: AccessDataWB victim %d, handler got %d", i, victim, got[0])
+			}
 		}
 		if d.DirtyBlocks() != ref.dirtyBlocks() {
 			t.Fatalf("dirty blocks = %d, reference %d", d.DirtyBlocks(), ref.dirtyBlocks())
+		}
+		if split.DataStats() != d.DataStats() {
+			t.Fatalf("AccessDataWB stats %+v, AccessData stats %+v", split.DataStats(), d.DataStats())
 		}
 	})
 }

@@ -7,7 +7,12 @@
 //
 // All three levels run on one cache core, internal/dri: the L1I is a
 // dri.Cache, the L1D and L2 are dri.DataCache (write-back,
-// write-allocate, first invalid way then true LRU). The L1D never resizes.
+// write-allocate, first invalid way then true LRU). The L1D never resizes
+// and has no writeback handler: its access returns the dirty victim
+// (AccessDataWB), and L1DMiss charges a miss — the victim's write into L2,
+// then the fill from L2. Load and Store are the L1D access plus L1DMiss;
+// the lane executor (internal/cpu) walks one L1D per geometry for all its
+// lanes and calls only L1DMiss on each lane's hierarchy.
 //
 // The unified L2 is a DRI cache too: with
 // Params.Enabled it runs its own sense-interval controller — miss-bound,
@@ -59,6 +64,11 @@ type L1DConfig struct {
 	Assoc      int
 }
 
+// minL1DBlockBytes is the smallest L1D block: a 4-byte block leaves an L1D
+// block address two spare high bits, which the lane executor's packed L1D
+// outcome (internal/cpu) uses for its flags.
+const minL1DBlockBytes = 4
+
 func (c L1DConfig) dri() dri.Config {
 	return dri.Config{SizeBytes: c.SizeBytes, BlockBytes: c.BlockBytes, Assoc: c.Assoc, AddrBits: 32}
 }
@@ -96,6 +106,9 @@ func (c Config) Check() error {
 	}
 	if err := c.L1D.dri().Check(); err != nil {
 		return fmt.Errorf("mem: L1D: %w", err)
+	}
+	if c.L1D.BlockBytes < minL1DBlockBytes {
+		return fmt.Errorf("mem: L1D block (%d) smaller than %d bytes", c.L1D.BlockBytes, minL1DBlockBytes)
 	}
 	if err := l2.Check(); err != nil {
 		return fmt.Errorf("mem: L2: %w", err)
@@ -212,19 +225,6 @@ func New(cfg Config) *Hierarchy {
 	if cfg.L2Policy.Kind == policy.WayMemo {
 		h.l2.EnableWayMemo(cfg.L2Policy.MemoTableEntries)
 	}
-	h.l1d.SetWritebackHandler(func(block uint64, _ dri.WritebackCause) {
-		// Dirty victim written back into L2 (write-allocate there too); a
-		// dirty L2 victim it displaces goes to memory.
-		h.stats.L2AccessesFromD++
-		h.countL2DemandWB = true
-		h.l2.AccessData(block>>h.dToL2Shift, true)
-		h.countL2DemandWB = false
-		if h.l2Pol != nil {
-			// The store buffer hides writeback latency; clear the pending
-			// wakeup so it is not charged to the following demand access.
-			h.l2Pol.TakePenalty()
-		}
-	})
 	h.l2.SetWritebackHandler(func(block uint64, cause dri.WritebackCause) {
 		switch cause {
 		case dri.WBResize:
@@ -258,7 +258,9 @@ func log2u(n int) uint {
 // ICache exposes the L1 i-cache (for DRI statistics and control).
 func (h *Hierarchy) ICache() *dri.Cache { return h.l1i }
 
-// DCache exposes the L1 d-cache (a dri.DataCache that never resizes).
+// DCache exposes the L1 d-cache (a dri.DataCache that never resizes). After
+// a multi-lane pass it holds state only if this hierarchy led its L1D group
+// (cpu.RunLanes).
 func (h *Hierarchy) DCache() *dri.DataCache { return h.l1d }
 
 // L2 exposes the unified L2 (a DRI data cache; conventional when its Params
@@ -337,24 +339,42 @@ func (h *Hierarchy) fetchSlow(block uint64, hit bool) uint64 {
 // Load is a data load: it returns the latency beyond the L1 pipeline
 // cycle.
 func (h *Hierarchy) Load(addr uint64) uint64 {
-	if h.l1d.AccessData(addr>>h.l1dShift, false) {
+	hit, wb, dirty := h.l1d.AccessDataWB(addr>>h.l1dShift, false)
+	if hit {
 		return 0
 	}
-	return h.l1dMissFill(addr)
+	return h.L1DMiss(addr, wb, dirty)
 }
 
 // Store is a data store (write-allocate, write-back; the store buffer hides
 // the latency, so none is returned, but all traffic is accounted).
 func (h *Hierarchy) Store(addr uint64) {
-	if !h.l1d.AccessData(addr>>h.l1dShift, true) {
-		h.l1dMissFill(addr)
+	if hit, wb, dirty := h.l1d.AccessDataWB(addr>>h.l1dShift, true); !hit {
+		h.L1DMiss(addr, wb, dirty)
 	}
 }
 
-// l1dMissFill charges the L2 (and memory) for an L1D miss and returns the
-// fill latency. A dirty victim's writeback has already gone to L2 through
-// the L1D's writeback handler.
-func (h *Hierarchy) l1dMissFill(addr uint64) uint64 {
+// L1DMiss charges an L1D miss of addr whose L1D access has already been
+// made — by this hierarchy's Load or Store, or by any L1D of the same
+// geometry walked over the same data-address stream (the lane executor
+// shares one such walk across lanes). When the fill evicted a dirty block
+// (dirty set, wb its L1D block address), the victim is first written back
+// into L2; then the block is filled from L2 (and memory). It returns the
+// fill latency.
+func (h *Hierarchy) L1DMiss(addr, wb uint64, dirty bool) uint64 {
+	if dirty {
+		// Dirty victim written back into L2 (write-allocate there too); a
+		// dirty L2 victim it displaces goes to memory.
+		h.stats.L2AccessesFromD++
+		h.countL2DemandWB = true
+		h.l2.AccessData(wb>>h.dToL2Shift, true)
+		h.countL2DemandWB = false
+		if h.l2Pol != nil {
+			// The store buffer hides writeback latency; clear the pending
+			// wakeup so it is not charged to the following demand access.
+			h.l2Pol.TakePenalty()
+		}
+	}
 	h.stats.L2AccessesFromD++
 	lat := h.cfg.L2HitLatency
 	if !h.l2.AccessData(addr>>h.l2Shift, false) {

@@ -5,6 +5,7 @@ import (
 
 	"dricache/internal/dri"
 	"dricache/internal/policy"
+	"dricache/internal/xrand"
 )
 
 func conv64K() dri.Config {
@@ -136,6 +137,7 @@ func TestL1DConfigCheck(t *testing.T) {
 		{SizeBytes: 1024, BlockBytes: 32, Assoc: 0},
 		{SizeBytes: 64, BlockBytes: 64, Assoc: 2},
 		{SizeBytes: 1024, BlockBytes: 32, Assoc: 3},
+		{SizeBytes: 1024, BlockBytes: 2, Assoc: 1},
 	}
 	for i, l1d := range bad {
 		cfg := DefaultConfig(conv64K())
@@ -143,6 +145,13 @@ func TestL1DConfigCheck(t *testing.T) {
 		if err := cfg.Check(); err == nil {
 			t.Errorf("case %d: accepted invalid L1D %+v", i, l1d)
 		}
+	}
+	// A 4-byte block is the smallest the lane executor's packed L1D
+	// outcome allows.
+	cfg := DefaultConfig(conv64K())
+	cfg.L1D = L1DConfig{SizeBytes: 1024, BlockBytes: 4, Assoc: 1}
+	if err := cfg.Check(); err != nil {
+		t.Errorf("rejected the smallest L1D block: %v", err)
 	}
 }
 
@@ -158,6 +167,127 @@ func TestL1DIsConventionalDataCache(t *testing.T) {
 	h.Advance(1_000_000, 1_000_000)
 	if h.DCache().Stats().Intervals != 0 || h.DCache().ActiveBytes() != 64<<10 {
 		t.Fatal("L1D ran interval machinery")
+	}
+}
+
+// equalBlocks returns the Table 1 hierarchy with L1I, L1D and L2 blocks all
+// 64 bytes: an L1 block is an L2 block (iToL2Shift and dToL2Shift are 0).
+func equalBlocks() Config {
+	cfg := DefaultConfig(dri.Config{SizeBytes: 64 << 10, BlockBytes: 64, Assoc: 1, AddrBits: 32})
+	cfg.L1D.BlockBytes = 64
+	return cfg
+}
+
+// TestEqualBlockSizes: blocks of one size at every level are a valid
+// hierarchy, and a dirty L1D victim is written back to the L2 block of the
+// same address.
+func TestEqualBlockSizes(t *testing.T) {
+	cfg := equalBlocks()
+	if cfg.L2.BlockBytes != cfg.L1I.BlockBytes || cfg.L2.BlockBytes != cfg.L1D.BlockBytes {
+		t.Fatalf("blocks %d/%d/%d are not all equal", cfg.L1I.BlockBytes, cfg.L1D.BlockBytes, cfg.L2.BlockBytes)
+	}
+	if err := cfg.Check(); err != nil {
+		t.Fatal(err)
+	}
+	h := New(cfg)
+	if lat := h.FetchBlock(1 << 20 >> 6); lat != 124 {
+		t.Fatalf("cold fetch latency = %d, want 124", lat)
+	}
+	// L1D: 512 sets of two 64-byte ways, so 0, 32K and 64K share set 0.
+	h.Store(0)
+	h.Load(32 << 10)
+	if lat := h.Load(64 << 10); lat != 124 { // evicts dirty block 0
+		t.Fatalf("evicting load latency = %d, want 124", lat)
+	}
+	s := h.Stats()
+	if s.L2AccessesFromI != 1 || s.L2AccessesFromD != 4 || s.MemAccesses != 4 {
+		t.Fatalf("stats = %+v, want 1 fetch, 3 fills + 1 writeback, 4 memory accesses", s)
+	}
+	if !h.L2().Probe(0) || h.L2().DirtyBlocks() != 1 {
+		t.Fatalf("L2 holds block 0: %v, dirty blocks %d; want the written-back block 0, dirty",
+			h.L2().Probe(0), h.L2().DirtyBlocks())
+	}
+}
+
+// TestL1DMissMatchesLoadStore pins the split the lane executor uses to
+// Load and Store: hierarchy a runs a random read/write stream through Load
+// and Store; hierarchy b runs it through a standalone L1D of the same
+// geometry (AccessDataWB) plus L1DMiss. Every load latency, the hierarchy
+// and L2 statistics, and the L1D statistics must match, and b's own L1D
+// must stay untouched — under a conventional L2, a drowsy L2, a small L1D
+// that evicts dirty blocks often, and blocks of one size at every level.
+func TestL1DMissMatchesLoadStore(t *testing.T) {
+	drowsy := DefaultConfig(conv64K())
+	drowsy.L2Policy = policy.Config{
+		Kind: policy.Drowsy, IntervalInstructions: 500,
+		WakeupCycles: 7, DrowsyLeakFraction: 0.15,
+	}
+	small := DefaultConfig(conv64K())
+	small.L1D = L1DConfig{SizeBytes: 2 << 10, BlockBytes: 16, Assoc: 2}
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"table1", DefaultConfig(conv64K())},
+		{"drowsyL2", drowsy},
+		{"smallL1D", small},
+		{"equalBlocks", equalBlocks()},
+	}
+	for _, c := range cases {
+		for seed := uint64(1); seed <= 3; seed++ {
+			a, b := New(c.cfg), New(c.cfg)
+			l1d := dri.NewData(a.DCache().Config())
+			shift := log2u(c.cfg.L1D.BlockBytes)
+			rng := xrand.New(seed)
+			for i := uint64(1); i <= 20_000; i++ {
+				// Half the accesses hit a 16K hot region, half roam 4M:
+				// L1D hits, clean and dirty L1D misses, L2 hits and misses.
+				addr := uint64(rng.Intn(16<<10)) &^ 7
+				if rng.Bool(0.5) {
+					addr = uint64(rng.Intn(4<<20)) &^ 7
+				}
+				write := rng.Bool(0.3)
+				hit, wb, dirty := l1d.AccessDataWB(addr>>shift, write)
+				if write {
+					a.Store(addr)
+					if !hit {
+						b.L1DMiss(addr, wb, dirty)
+					}
+				} else {
+					var lb uint64
+					if !hit {
+						lb = b.L1DMiss(addr, wb, dirty)
+					}
+					if la := a.Load(addr); la != lb {
+						t.Fatalf("%s/%d: access %d: Load latency %d, split %d", c.name, seed, i, la, lb)
+					}
+				}
+				if i%100 == 0 {
+					a.Advance(100, i)
+					b.Advance(100, i)
+				}
+			}
+			a.Finish(20_000)
+			b.Finish(20_000)
+			switch {
+			case a.Stats() != b.Stats():
+				t.Fatalf("%s/%d: Stats diverged:\n  load/store %+v\n  split      %+v", c.name, seed, a.Stats(), b.Stats())
+			case a.L2().DataStats() != b.L2().DataStats():
+				t.Fatalf("%s/%d: L2 stats diverged:\n  load/store %+v\n  split      %+v", c.name, seed, a.L2().DataStats(), b.L2().DataStats())
+			case a.L2PolicyStats() != b.L2PolicyStats():
+				t.Fatalf("%s/%d: L2 policy stats diverged: %+v vs %+v", c.name, seed, a.L2PolicyStats(), b.L2PolicyStats())
+			case a.DCache().DataStats() != l1d.DataStats():
+				t.Fatalf("%s/%d: L1D stats diverged: %+v vs %+v", c.name, seed, a.DCache().DataStats(), l1d.DataStats())
+			case b.DCache().Stats().Accesses != 0:
+				t.Fatalf("%s/%d: L1DMiss touched the hierarchy's own L1D", c.name, seed)
+			}
+			if c.name == "drowsyL2" && a.L2PolicyStats().Wakeups == 0 {
+				t.Fatalf("%s/%d: the drowsy L2 never woke a line", c.name, seed)
+			}
+			if a.DCache().DataStats().Writebacks == 0 {
+				t.Fatalf("%s/%d: no dirty L1D victim", c.name, seed)
+			}
+		}
 	}
 }
 

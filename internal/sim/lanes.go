@@ -116,9 +116,10 @@ func releaseHierarchy(cfg mem.Config, h *mem.Hierarchy) {
 // All lanes advance lock-step over a single pass of the stream: one decode
 // of the shared trace store's recording when the store holds (or can hold)
 // it, else one pass of the generator itself. Lanes with equal
-// branch-predictor configurations further share one predictor walk
-// (prediction is stream-driven, so outcomes and statistics are exactly
-// those of a solo run).
+// branch-predictor configurations further share one predictor walk, and
+// lanes with equal L1 d-cache geometries one L1D walk (prediction and the
+// L1D are stream-driven, so outcomes and statistics are exactly those of a
+// solo run).
 func RunLanes(cfgs []Config, prog trace.Program) []Result {
 	out, _, _ := RunLanesNotedCtx(context.Background(), cfgs, prog)
 	return out
