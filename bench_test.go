@@ -418,7 +418,7 @@ func BenchmarkFullSystemSimulation(b *testing.B) {
 
 // BenchmarkWayMemo measures the memoized sweep path: a memo-table-size
 // ladder of way-memoization configurations on the 64K 4-way L1, advanced
-// lock-step over one decode of applu — the shape an engine.RunMany policy
+// lock-step over one decode of applu — the shape an engine.RunManyCtx policy
 // sweep executes. Per-set link registers let every lane skip the memory
 // hierarchy entirely on a memoized fetch (the sequential-PC shortcut skips
 // even the block compare inside straight-line runs), so the aggregate

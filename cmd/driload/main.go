@@ -9,8 +9,10 @@
 //	-mode run   POST /v1/run synchronously (the request holds the
 //	            connection until the simulation finishes)
 //	-mode jobs  POST /v1/jobs, then poll GET /v1/jobs/{id} to a terminal
-//	            state — the async path through admission control; 429
-//	            rejections are counted separately and honor Retry-After
+//	            state
+//
+// Both paths pass the server's admission control: a 429 is counted as a
+// rejection, not an error, and the worker sleeps out its Retry-After.
 //
 // Latency is measured per completed request (submit to terminal state in
 // jobs mode). The summary prints human-readable to stderr and as one JSON
@@ -177,7 +179,7 @@ func run(o options) (summary, error) {
 				if o.mode == "jobs" {
 					r = oneJob(client, o, bench, deadline)
 				} else {
-					r = oneRun(client, o, bench)
+					r = oneRun(client, o, bench, deadline)
 				}
 				mu.Lock()
 				results = append(results, r)
@@ -241,7 +243,7 @@ func waitHealthy(client *http.Client, addr string) error {
 }
 
 // oneRun drives one synchronous simulation through POST /v1/run.
-func oneRun(client *http.Client, o options, bench string) result {
+func oneRun(client *http.Client, o options, bench string, deadline time.Time) result {
 	body, _ := json.Marshal(map[string]any{
 		"benchmark":    bench,
 		"instructions": o.instrs,
@@ -251,6 +253,9 @@ func oneRun(client *http.Client, o options, bench string) result {
 	if err != nil {
 		return result{err: err}
 	}
+	if rejected(resp, deadline) {
+		return result{rejected: true}
+	}
 	defer drain(resp)
 	if resp.StatusCode != http.StatusOK {
 		return result{err: fmt.Errorf("/v1/run: %s", resp.Status)}
@@ -259,8 +264,7 @@ func oneRun(client *http.Client, o options, bench string) result {
 }
 
 // oneJob submits one async job and polls it to a terminal state; the
-// latency spans submit through completion. A 429 counts as rejected and
-// the worker sleeps out the server's Retry-After before its next attempt.
+// latency spans submit through completion.
 func oneJob(client *http.Client, o options, bench string, deadline time.Time) result {
 	body, _ := json.Marshal(map[string]any{
 		"kind": "run",
@@ -271,15 +275,7 @@ func oneJob(client *http.Client, o options, bench string, deadline time.Time) re
 	if err != nil {
 		return result{err: err}
 	}
-	if resp.StatusCode == http.StatusTooManyRequests {
-		wait := retryAfter(resp)
-		drain(resp)
-		if until := time.Until(deadline); wait > until {
-			wait = until
-		}
-		if wait > 0 {
-			time.Sleep(wait)
-		}
+	if rejected(resp, deadline) {
 		return result{rejected: true}
 	}
 	if resp.StatusCode != http.StatusAccepted {
@@ -321,6 +317,24 @@ func oneJob(client *http.Client, o options, bench string, deadline time.Time) re
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// rejected reports whether resp is an admission 429; if so it drains the
+// response and sleeps out the server's Retry-After, but not past deadline,
+// before the worker's next attempt.
+func rejected(resp *http.Response, deadline time.Time) bool {
+	if resp.StatusCode != http.StatusTooManyRequests {
+		return false
+	}
+	wait := retryAfter(resp)
+	drain(resp)
+	if until := time.Until(deadline); wait > until {
+		wait = until
+	}
+	if wait > 0 {
+		time.Sleep(wait)
+	}
+	return true
 }
 
 func retryAfter(resp *http.Response) time.Duration {

@@ -113,6 +113,53 @@ func TestJobsModeCountsRejections(t *testing.T) {
 	}
 }
 
+// TestRunModeCountsRejections: now that /v1/run passes admission control,
+// a 429 there is a rejection, not an error, and the worker sleeps out its
+// Retry-After instead of hammering the server.
+func TestRunModeCountsRejections(t *testing.T) {
+	var calls atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"status":"ok"}`)
+	})
+	mux.HandleFunc("POST /v1/run", func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1)%2 == 0 {
+			w.Header().Set("Retry-After", "1")
+			w.WriteHeader(http.StatusTooManyRequests)
+			fmt.Fprint(w, `{"error":"client at its limit","reason":"client_limit","retryAfterSeconds":1}`)
+			return
+		}
+		fmt.Fprint(w, `{"benchmark":"applu"}`)
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	const window = 300 * time.Millisecond
+	start := time.Now()
+	sum, err := run(options{
+		addr:       ts.URL,
+		mode:       "run",
+		duration:   window,
+		workers:    2,
+		instrs:     1000,
+		benchmarks: []string{"applu"},
+		timeout:    5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Completed == 0 || sum.Rejected == 0 || sum.Errors != 0 {
+		t.Fatalf("run mode against a 429ing server: %+v, want completions and rejections, no errors", sum)
+	}
+	// Each worker sleeps from its first rejection to the end of the window,
+	// so only a handful of requests can be sent.
+	if sum.Requests > 10 {
+		t.Fatalf("%d requests in %v: the workers did not honour Retry-After", sum.Requests, window)
+	}
+	if elapsed := time.Since(start); elapsed > window+time.Second {
+		t.Fatalf("run took %v: a Retry-After sleep ran past the window", elapsed)
+	}
+}
+
 func TestBenchOutAppendsTest2JSONEvent(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_test.json")
 	if err := os.WriteFile(path, []byte(`{"Action":"start","Package":"dricache"}`+"\n"), 0o644); err != nil {

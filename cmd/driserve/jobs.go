@@ -1,15 +1,17 @@
 package main
 
-// The async job API (ROADMAP item 5). POST /v1/jobs wraps the same
-// run/compare/sweep payloads the synchronous endpoints take into jobs on
-// the admission-controlled manager: the submit returns 202 with a job ID
-// immediately, GET /v1/jobs/{id} serves status and (once done) the result,
-// DELETE /v1/jobs/{id} cancels for real — the simulation stack aborts at
-// the next chunk boundary, and aborted points are never cached — and
-// GET /v1/jobs/{id}/progress streams the job's SSE progress (the same
-// interval/sweep events as /v1/runs/{id}/progress, keyed by job ID, plus
-// per-state transition events). Rejections are structured 429s with a
-// Retry-After estimated from the queue depth and recent run times.
+// The job API. Every simulation request is a job on the admission-
+// controlled manager. POST /v1/run, /v1/compare and /v1/sweep take one
+// payload, run it as a job named by the request ID and wait for it
+// (handleSync). POST /v1/jobs wraps the same payloads in an envelope and
+// returns 202 with a job ID immediately; GET /v1/jobs/{id} serves status
+// and (once done) the result, DELETE /v1/jobs/{id} cancels for real — the
+// simulation stack aborts at the next chunk boundary, and aborted points
+// are never cached — and GET /v1/jobs/{id}/progress streams the job's SSE
+// progress (the same interval/sweep events as /v1/runs/{id}/progress,
+// keyed by job ID, plus per-state transition events). Rejections are
+// structured 429s with a Retry-After estimated from the queue depth and
+// recent run times.
 
 import (
 	"context"
@@ -23,6 +25,7 @@ import (
 
 	"dricache/internal/exp"
 	"dricache/internal/jobs"
+	"dricache/internal/obs"
 	"dricache/internal/sim"
 )
 
@@ -36,7 +39,8 @@ type jobSubmitRequest struct {
 	// Priority orders the queue; higher runs first, ties are FIFO.
 	Priority int `json:"priority"`
 	// TimeoutSeconds bounds the job's total lifetime, queue wait included
-	// (0 = server default; ?timeout= on the submit URL overrides).
+	// (0 = server default; ?timeout= on the submit URL overrides). Negative
+	// and out-of-range values are a 400.
 	TimeoutSeconds float64 `json:"timeoutSeconds"`
 	// Timeline opts a run/compare job into interval recording, like
 	// ?timeline=1 on the synchronous endpoints.
@@ -107,10 +111,22 @@ func parseTimeout(v string) (time.Duration, error) {
 		return d, nil
 	}
 	secs, err := strconv.ParseFloat(v, 64)
-	if err != nil || secs < 0 || math.IsNaN(secs) || math.IsInf(secs, 0) {
+	if err != nil {
 		return 0, fmt.Errorf("invalid timeout %q (want a duration like 30s or a number of seconds)", v)
 	}
-	return time.Duration(secs * float64(time.Second)), nil
+	return secondsDuration(secs)
+}
+
+// secondsDuration converts a timeout in seconds to a Duration, rejecting
+// NaN, negative values and values beyond time.Duration's range (about 292
+// years), which would otherwise wrap to a negative "no deadline".
+func secondsDuration(secs float64) (time.Duration, error) {
+	d := secs * float64(time.Second)
+	if !(d >= 0 && d < math.MaxInt64) {
+		return 0, fmt.Errorf("invalid timeout %v seconds (want 0 to %.0f)",
+			secs, float64(math.MaxInt64)/float64(time.Second))
+	}
+	return time.Duration(d), nil
 }
 
 // buildJob validates a submit envelope into an admission request and the
@@ -135,10 +151,14 @@ func (s *server) buildJob(req jobSubmitRequest) (jobs.Request, error) {
 		return jobs.Request{}, fmt.Errorf("kind %q does not match the %s payload", req.Kind, kind)
 	}
 
+	deadline, err := secondsDuration(req.TimeoutSeconds)
+	if err != nil {
+		return jobs.Request{}, fmt.Errorf("timeoutSeconds: %w", err)
+	}
 	jr := jobs.Request{
 		Kind:     kind,
 		Priority: req.Priority,
-		Deadline: time.Duration(req.TimeoutSeconds * float64(time.Second)),
+		Deadline: deadline,
 	}
 	switch kind {
 	case "run":
@@ -214,6 +234,49 @@ func (s *server) buildJob(req jobSubmitRequest) (jobs.Request, error) {
 	return jr, nil
 }
 
+// prepareJob builds the job of a decoded envelope, applies the request
+// URL's ?timeout= and names the client; on a bad payload it writes the 400
+// and returns false.
+func (s *server) prepareJob(w http.ResponseWriter, r *http.Request, req jobSubmitRequest) (jobs.Request, bool) {
+	jr, err := s.buildJob(req)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return jobs.Request{}, false
+	}
+	if v := r.URL.Query().Get("timeout"); v != "" {
+		d, err := parseTimeout(v)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return jobs.Request{}, false
+		}
+		jr.Deadline = d
+	}
+	jr.Client = clientID(r)
+	return jr, true
+}
+
+// writeAdmitError reports a job the manager did not admit: a structured
+// 429 carrying Retry-After, a 409 for an ID a live or retained job holds,
+// a 400 otherwise.
+func writeAdmitError(w http.ResponseWriter, err error) {
+	var adm *jobs.AdmissionError
+	switch {
+	case errors.As(err, &adm):
+		secs := int(math.Ceil(adm.RetryAfter.Seconds()))
+		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		writeJSON(w, http.StatusTooManyRequests, map[string]any{
+			"error":             adm.Error(),
+			"status":            http.StatusTooManyRequests,
+			"reason":            adm.Reason,
+			"retryAfterSeconds": secs,
+		})
+	case errors.Is(err, jobs.ErrDuplicate):
+		writeError(w, http.StatusConflict, "%v", err)
+	default:
+		writeError(w, http.StatusBadRequest, "%v", err)
+	}
+}
+
 // handleJobSubmit serves POST /v1/jobs: validate, admit, and return 202
 // with the queued snapshot — or a structured 429 carrying Retry-After.
 func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
@@ -222,49 +285,99 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "%v", err)
 		return
 	}
-	jr, err := s.buildJob(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	jr, ok := s.prepareJob(w, r, req)
+	if !ok {
 		return
 	}
-	if v := r.URL.Query().Get("timeout"); v != "" {
-		d, err := parseTimeout(v)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		jr.Deadline = d
-	}
-	jr.Client = clientID(r)
 
 	// The body learns its job ID (assigned by the manager during Submit)
 	// through this channel, then publishes progress into the job's entry.
+	// Waiting for it also orders the body after Submit's queued notice,
+	// which creates the entry.
 	ids := make(chan string, 1)
 	body := jr.Run
 	jr.Run = func(ctx context.Context) (any, error) {
-		ent := s.progress.ensureJob(<-ids)
+		ent := s.progress.entry(<-ids, "jobId")
 		return body(withProgressSinks(ctx, ent))
 	}
 
 	snap, err := s.jobs.Submit(jr)
 	if err != nil {
-		var adm *jobs.AdmissionError
-		if errors.As(err, &adm) {
-			secs := int(math.Ceil(adm.RetryAfter.Seconds()))
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			writeJSON(w, http.StatusTooManyRequests, map[string]any{
-				"error":             adm.Error(),
-				"status":            http.StatusTooManyRequests,
-				"reason":            adm.Reason,
-				"retryAfterSeconds": secs,
-			})
-			return
-		}
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeAdmitError(w, err)
 		return
 	}
 	ids <- snap.ID
 	writeJSON(w, http.StatusAccepted, map[string]any{"job": jobViewOf(snap)})
+}
+
+// handleSync serves POST /v1/run, /v1/compare and /v1/sweep: the body is
+// the payload of a job of that kind (?timeline=1 sets the envelope's
+// timeline flag), which runs on the job manager — under the same
+// admission control, deadlines (?timeout=) and cancellation as
+// POST /v1/jobs — named by the request ID, and is waited for. The
+// request's context is the job's: client disconnect cancels the job, and
+// its spans nest under the request's span tree. The response is the job's
+// result plus the engine's counters.
+func (s *server) handleSync(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ctx := r.Context()
+		// End is first-write-wins: the deferred call closes the span on
+		// every validation error return, the explicit call before Do on
+		// the success path.
+		_, vsp := obs.StartSpan(ctx, "validate")
+		defer vsp.End()
+		req := jobSubmitRequest{Kind: kind, Timeline: r.URL.Query().Get("timeline") == "1"}
+		// Decoding into the envelope's pointer field allocates the payload.
+		var payload any = &req.Sweep
+		switch kind {
+		case "run":
+			payload = &req.Run
+		case "compare":
+			payload = &req.Compare
+		}
+		if status, err := decodeBody(w, r, payload); status != 0 {
+			writeError(w, status, "%v", err)
+			return
+		}
+		jr, ok := s.prepareJob(w, r, req)
+		if !ok {
+			return
+		}
+		vsp.End()
+
+		id := obs.RequestIDFrom(ctx)
+		jr.ID = id
+		body := jr.Run
+		jr.Run = func(ctx context.Context) (any, error) {
+			ent := s.progress.entry(id, "requestId")
+			outcome := "aborted"
+			defer func() { ent.finish(map[string]any{"outcome": outcome}) }()
+			res, err := body(withProgressSinks(ctx, ent))
+			if err == nil {
+				outcome = "ok"
+			}
+			return res, err
+		}
+		snap, err := s.jobs.Do(ctx, jr)
+		if err != nil {
+			writeAdmitError(w, err)
+			return
+		}
+		switch snap.State {
+		case jobs.StateDone:
+		case jobs.StateFailed:
+			writeError(w, http.StatusInternalServerError, "%s failed: %s", kind, snap.Error)
+			return
+		default:
+			writeError(w, http.StatusServiceUnavailable, "%s %s: %s", kind, snap.State, snap.Error)
+			return
+		}
+		// A Do job is not retained, so its result map is this response's.
+		resp := snap.Result.(map[string]any)
+		resp["engine"] = engineMetricsFrom(s.reg.Snapshot())
+		s.attachTrace(r, resp)
+		writeJSON(w, http.StatusOK, resp)
+	}
 }
 
 // handleJobGet serves GET /v1/jobs/{id}: current status, and the result
@@ -307,23 +420,20 @@ func (s *server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleJobProgress serves GET /v1/jobs/{id}/progress as an SSE stream of
-// state transitions plus the job's interval/sweep progress events.
-func (s *server) handleJobProgress(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	ent := s.progress.lookup(id)
+// publishJobTransition is the manager's observer: every state change of
+// a submitted job becomes a "state" SSE event on the job's progress entry,
+// and terminal states close the entry with a "done" event. Only the queued
+// notice creates the entry: a later notice can arrive after the terminal
+// one (another goroutine dispatched the job) and must not open a fresh
+// stream that nothing would finish.
+func (s *server) publishJobTransition(snap jobs.Snapshot) {
+	ent := s.progress.lookup(snap.ID)
+	if snap.State == jobs.StateQueued {
+		ent = s.progress.entry(snap.ID, "jobId")
+	}
 	if ent == nil {
-		writeError(w, http.StatusNotFound, "no progress (retained) for job id %q", id)
 		return
 	}
-	streamProgress(w, r, ent)
-}
-
-// publishJobTransition is the manager's observer: every state change
-// becomes a "state" SSE event on the job's progress entry, and terminal
-// states close the entry with a "done" event.
-func (s *server) publishJobTransition(snap jobs.Snapshot) {
-	ent := s.progress.ensureJob(snap.ID)
 	payload := map[string]any{"state": string(snap.State), "kind": snap.Kind}
 	if snap.Error != "" {
 		payload["error"] = snap.Error

@@ -21,17 +21,21 @@
 //	                     simulations abort at the next chunk boundary
 //	GET  /v1/jobs/{id}/progress  the job's SSE progress stream
 //
-// Jobs pass admission control before queueing: -jobqueue bounds the queue,
-// -jobsperclient and -jobclientinstructions bound one client (X-API-Key
-// header, or remote host), and rejections are structured 429s with a
-// Retry-After estimated from queue depth and recent run times. Per-job
-// deadlines ("timeoutSeconds" or ?timeout=30s) cancel overdue work, queued
-// or mid-run. On shutdown the manager stops admitting, cancels queued
-// jobs, and drains running ones within -draintimeout.
+// Every simulation request is a job: /v1/run, /v1/compare and /v1/sweep
+// run as jobs named by their request ID and wait for them, so they pass
+// the same admission control as POST /v1/jobs before queueing: -jobqueue
+// bounds the queue, -jobsperclient and -jobclientinstructions bound one
+// client (X-API-Key header, or remote host), and rejections are structured
+// 429s with a Retry-After estimated from queue depth and recent run times.
+// Deadlines ("timeoutSeconds" or ?timeout=30s) cancel overdue work, queued
+// or mid-run, and a client disconnect cancels a synchronous request's job.
+// On shutdown the manager stops admitting, cancels queued jobs, and drains
+// running ones within -draintimeout.
 //
 // Appending ?trace=1 to /v1/run, /v1/compare, or /v1/sweep returns the
-// request's span tree (validate → cache lookup → batch grouping → stream
-// decode → lane run → compare/assemble) under a "trace" key; without it the
+// request's span tree (validate → job queue wait → cache lookup → batch
+// grouping → lane run → stream decode, pipeline, assemble →
+// compare_assemble) under a "trace" key; without it the
 // tree is logged at debug level. Every request carries an X-Request-ID
 // (inbound value honored) through the structured access log. -mutexprofile
 // and -blockprofile enable the runtime contention profiles the -pprof

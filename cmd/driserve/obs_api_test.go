@@ -124,9 +124,9 @@ func spanNames(tree map[string]any, into map[string]bool) {
 }
 
 // TestRunTraceSpanTree pins the ?trace=1 contract on /v1/run: a span tree
-// rooted at "request" whose stages cover validate → cache lookup → queue
-// wait → simulate (stream decode, pipeline, assemble), with every child
-// inside the root's wall time.
+// rooted at "request" whose stages cover validate → job queue wait → cache
+// lookup → batch grouping → lane run (queue wait, stream decode, pipeline,
+// assemble), with every child inside the root's wall time.
 func TestRunTraceSpanTree(t *testing.T) {
 	ts := testServer(t)
 	start := time.Now()
@@ -143,8 +143,8 @@ func TestRunTraceSpanTree(t *testing.T) {
 	}
 	names := map[string]bool{}
 	spanNames(tree, names)
-	for _, want := range []string{"validate", "cache_lookup", "queue_wait",
-		"simulate", "stream_decode", "pipeline", "assemble"} {
+	for _, want := range []string{"validate", "job_queue_wait", "cache_lookup", "queue_wait",
+		"batch_grouping", "lane_run", "stream_decode", "pipeline", "assemble"} {
 		if !names[want] {
 			t.Errorf("stage %q absent from span tree (got %v)", want, names)
 		}

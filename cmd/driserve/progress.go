@@ -1,16 +1,16 @@
 package main
 
-// Live progress streaming. Every /v1/run, /v1/compare, and /v1/sweep
-// request registers a progress entry under its request ID; while the
-// simulation is in flight, interval heartbeats from the flight recorder
-// (timeline.WithSink) and sweep-point completions from the engine's batch
-// scheduler (engine.WithProgress) are published into the entry, and a
-// final "done" event closes it. GET /v1/runs/{id}/progress serves the
-// entry as a Server-Sent Events stream: buffered events replay first, then
-// live events until done or client disconnect. Completed entries are
-// retained (bounded) so a stream opened after a fast run still observes
-// its events. This is the SSE groundwork for the async job API (ROADMAP
-// item 5).
+// Live progress streaming. Every job — a /v1/run, /v1/compare or
+// /v1/sweep request once it starts, keyed by its request ID, or a
+// /v1/jobs submission, keyed by its job ID — has a progress entry; while
+// the simulation is in flight, interval heartbeats from the flight
+// recorder (timeline.WithSink) and sweep-point completions from the
+// engine's batch scheduler (engine.WithProgress) are published into the
+// entry, and a final "done" event closes it. GET /v1/runs/{id}/progress
+// and GET /v1/jobs/{id}/progress serve the entry as a Server-Sent Events
+// stream: buffered events replay first, then live events until done or
+// client disconnect. Completed entries are retained (bounded) so a stream
+// opened after a fast run still observes its events.
 
 import (
 	"context"
@@ -20,7 +20,6 @@ import (
 	"sync"
 
 	"dricache/internal/engine"
-	"dricache/internal/obs"
 	"dricache/internal/timeline"
 )
 
@@ -46,8 +45,7 @@ type sseEvent struct {
 	Data []byte
 }
 
-// progressEntry is the event history and live-subscriber set of one
-// request or job.
+// progressEntry is the event history and live-subscriber set of one job.
 type progressEntry struct {
 	id string
 	// idKey names the identity field stamped on every event payload:
@@ -99,7 +97,7 @@ func (e *progressEntry) publish(typ string, payload map[string]any) {
 	e.mu.Unlock()
 }
 
-// progressHub indexes progress entries by request ID.
+// progressHub indexes progress entries by request or job ID.
 type progressHub struct {
 	mu      sync.Mutex
 	entries map[string]*progressEntry
@@ -110,38 +108,26 @@ func newProgressHub() *progressHub {
 	return &progressHub{entries: make(map[string]*progressEntry)}
 }
 
-// begin registers (or replaces) the entry for one request ID and evicts
-// the oldest entries beyond the retention bound.
-func (h *progressHub) begin(id string) *progressEntry {
-	return h.beginKeyed(id, "requestId")
-}
-
-// ensureJob returns the entry for one job ID, creating it (events carry
-// "jobId") if absent. Both the transition observer and the job body call
-// this, so creation must be get-or-create, not replace: whichever runs
-// first wins and the other publishes into the same entry.
-func (h *progressHub) ensureJob(id string) *progressEntry {
+// entry returns the live entry for id, creating one (events stamped with
+// idKey: "requestId" or "jobId") when there is none or the retained one
+// has finished — a request ID reused after its run ended starts a fresh
+// stream. Creation evicts the oldest entries beyond the retention bound.
+// Callers must not ask for an entry after their own job's "done": the
+// job manager's transition observer creates only on the queued
+// transition, which precedes the job body.
+func (h *progressHub) entry(id, idKey string) *progressEntry {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if e := h.entries[id]; e != nil {
-		return e
+	old := h.entries[id]
+	if old != nil && !old.finished() {
+		return old
 	}
-	e := &progressEntry{id: id, idKey: "jobId", subs: make(map[chan sseEvent]struct{})}
-	h.entries[id] = e
-	h.order = append(h.order, id)
-	h.evictLocked()
-	return e
-}
-
-func (h *progressHub) beginKeyed(id, idKey string) *progressEntry {
 	e := &progressEntry{id: id, idKey: idKey, subs: make(map[chan sseEvent]struct{})}
-	h.mu.Lock()
-	if _, ok := h.entries[id]; !ok {
+	if old == nil {
 		h.order = append(h.order, id)
 	}
 	h.entries[id] = e
 	h.evictLocked()
-	h.mu.Unlock()
 	return e
 }
 
@@ -159,6 +145,13 @@ func (h *progressHub) lookup(id string) *progressEntry {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.entries[id]
+}
+
+// finished reports whether the entry's "done" event has been published.
+func (e *progressEntry) finished() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.done
 }
 
 // finish publishes the terminal event and marks the entry done.
@@ -195,18 +188,10 @@ func (e *progressEntry) unsubscribe(ch chan sseEvent) {
 	e.mu.Unlock()
 }
 
-// progressCtx wires the live hooks for one request: interval heartbeats
-// from any timeline-enabled lane and sweep-point completions from the
-// engine's batch scheduler.
-func (s *server) progressCtx(r *http.Request) (context.Context, *progressEntry) {
-	ctx := r.Context()
-	ent := s.progress.begin(obs.RequestIDFrom(ctx))
-	return withProgressSinks(ctx, ent), ent
-}
-
-// withProgressSinks wires the interval and sweep-point hooks of one context
-// to publish into ent. Shared by synchronous requests (progressCtx) and job
-// bodies, whose context comes from the job manager instead of the request.
+// withProgressSinks wires the interval and sweep-point hooks of one job
+// body's context to publish into ent: interval heartbeats from any
+// timeline-enabled lane and sweep-point completions from the engine's
+// batch scheduler.
 func withProgressSinks(ctx context.Context, ent *progressEntry) context.Context {
 	ctx = timeline.WithSink(ctx, func(p timeline.Point) {
 		ent.publish("interval", map[string]any{
@@ -229,12 +214,15 @@ func withProgressSinks(ctx context.Context, ent *progressEntry) context.Context 
 	return ctx
 }
 
-// handleProgress serves GET /v1/runs/{id}/progress as an SSE stream.
+// handleProgress serves GET /v1/runs/{id}/progress and
+// GET /v1/jobs/{id}/progress: the progress entry of a synchronous request
+// (by request ID) or of a submitted job (by job ID, with its state
+// transitions) as an SSE stream.
 func (s *server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	ent := s.progress.lookup(id)
 	if ent == nil {
-		writeError(w, http.StatusNotFound, "no run or sweep in progress (or retained) with request id %q", id)
+		writeError(w, http.StatusNotFound, "no run, sweep or job in progress (or retained) with id %q", id)
 		return
 	}
 	streamProgress(w, r, ent)

@@ -92,15 +92,15 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("GET /v1/metrics", s.handleMetricsJSON)
 	mux.HandleFunc("GET /v1/benchmarks", s.handleBenchmarks)
 	mux.HandleFunc("GET /v1/policies", s.handlePolicies)
-	mux.HandleFunc("POST /v1/run", s.handleRun)
-	mux.HandleFunc("POST /v1/compare", s.handleCompare)
-	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
+	mux.HandleFunc("POST /v1/run", s.handleSync("run"))
+	mux.HandleFunc("POST /v1/compare", s.handleSync("compare"))
+	mux.HandleFunc("POST /v1/sweep", s.handleSync("sweep"))
 	mux.HandleFunc("GET /v1/runs/{id}/progress", s.handleProgress)
 	mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
 	mux.HandleFunc("GET /v1/jobs", s.handleJobList)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
-	mux.HandleFunc("GET /v1/jobs/{id}/progress", s.handleJobProgress)
+	mux.HandleFunc("GET /v1/jobs/{id}/progress", s.handleProgress)
 	return s.instrument(mux)
 }
 
@@ -132,10 +132,6 @@ type traceMetrics struct {
 	Evictions   uint64  `json:"evictions"`
 	Bypasses    uint64  `json:"bypasses"`
 	HitRate     float64 `json:"hitRate"`
-}
-
-func (s *server) metrics() engineMetrics {
-	return engineMetricsFrom(s.reg.Snapshot())
 }
 
 // persistMetrics is the wire form of the persistence layer's health and
@@ -429,24 +425,8 @@ type runRequest struct {
 // maxBodyBytes bounds request bodies well above any legitimate payload.
 const maxBodyBytes = 1 << 20
 
-// decodeRun decodes and validates a run/compare request into a full system
-// configuration; a non-zero status is the HTTP error to report.
-func (s *server) decodeRun(w http.ResponseWriter, r *http.Request) (sim.Config, trace.Program, int, error) {
-	var req runRequest
-	if status, err := decodeBody(w, r, &req); status != 0 {
-		return sim.Config{}, trace.Program{}, status, err
-	}
-	cfg, prog, err := s.buildRun(req)
-	if err != nil {
-		return sim.Config{}, trace.Program{}, http.StatusBadRequest, err
-	}
-	return cfg, prog, 0, nil
-}
-
 // buildRun validates a decoded run/compare payload into a full system
-// configuration. It is pure — shared between the synchronous handlers and
-// the jobs API, whose payloads arrive inside a job envelope; every error
-// maps to HTTP 400.
+// configuration. It is pure; every error maps to HTTP 400.
 func (s *server) buildRun(req runRequest) (sim.Config, trace.Program, error) {
 	fail := func(err error) (sim.Config, trace.Program, error) {
 		return sim.Config{}, trace.Program{}, err
@@ -706,43 +686,6 @@ func summarize(res *sim.Result) resultSummary {
 	}
 }
 
-// wantTimeline reports whether the request opted into interval recording
-// with ?timeline=1.
-func wantTimeline(r *http.Request) bool { return r.URL.Query().Get("timeline") == "1" }
-
-func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
-	ctx, ent := s.progressCtx(r)
-	outcome := "error"
-	defer func() { ent.finish(map[string]any{"outcome": outcome}) }()
-	_, sp := obs.StartSpan(ctx, "validate")
-	cfg, prog, status, err := s.decodeRun(w, r)
-	sp.End()
-	if err != nil {
-		writeError(w, status, "%v", err)
-		return
-	}
-	if wantTimeline(r) {
-		cfg.Timeline.Enabled = true
-	}
-	res, cached, err := s.eng.RunCachedCtx(ctx, cfg, prog)
-	if err != nil {
-		outcome = "aborted"
-		writeError(w, http.StatusServiceUnavailable, "run aborted: %v", err)
-		return
-	}
-	resp := map[string]any{
-		"result": summarize(res),
-		"cached": cached,
-		"engine": s.metrics(),
-	}
-	if cfg.Timeline.Enabled {
-		resp["timeline"] = res.Timeline
-	}
-	outcome = "ok"
-	s.attachTrace(r, resp)
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // levelSummary is one cache level's share of the total-leakage account.
 type levelSummary struct {
 	LeakageNJ      float64 `json:"leakageNJ"`
@@ -820,53 +763,6 @@ func summarizeComparison(cmp sim.Comparison) comparisonSummary {
 	}
 }
 
-func (s *server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	ctx, ent := s.progressCtx(r)
-	outcome := "error"
-	defer func() { ent.finish(map[string]any{"outcome": outcome}) }()
-	_, sp := obs.StartSpan(ctx, "validate")
-	cfg, prog, status, err := s.decodeRun(w, r)
-	sp.End()
-	if err != nil {
-		writeError(w, status, "%v", err)
-		return
-	}
-	if wantTimeline(r) {
-		// BaselineSimConfig keeps Timeline, so both sides record.
-		cfg.Timeline.Enabled = true
-	}
-	// decodeRun normalizes conventional selectors away, so "nothing but
-	// the baseline" is exactly "the config equals its own baseline".
-	if cfg == sim.BaselineSimConfig(cfg) {
-		writeError(w, http.StatusBadRequest,
-			"compare requires a DRI or policy configuration (set cache.dri and/or l2.dri, or a policy)")
-		return
-	}
-	cmp, cacheOutcome, err := s.eng.CompareSimCachedCtx(ctx, cfg, prog)
-	if err != nil {
-		outcome = "aborted"
-		writeError(w, http.StatusServiceUnavailable, "compare aborted: %v", err)
-		return
-	}
-	resp := map[string]any{
-		"comparison": summarizeComparison(cmp),
-		"cached": map[string]bool{
-			"baseline": cacheOutcome.BaselineCached,
-			"dri":      cacheOutcome.DRICached,
-		},
-		"engine": s.metrics(),
-	}
-	if cfg.Timeline.Enabled {
-		resp["timeline"] = map[string]any{
-			"baseline": cmp.Conv.Timeline,
-			"dri":      cmp.DRI.Timeline,
-		}
-	}
-	outcome = "ok"
-	s.attachTrace(r, resp)
-	writeJSON(w, http.StatusOK, resp)
-}
-
 type sweepRequest struct {
 	// Benchmarks to sweep; empty means all fifteen.
 	Benchmarks []string `json:"benchmarks"`
@@ -899,17 +795,15 @@ type sweepPoint struct {
 }
 
 // sweepPlan is a validated sweep: the scale every task shares and the task
-// list ready for the runner. Built by buildSweep, executed by handleSweep
-// and by sweep jobs.
+// list ready for the runner. Built by buildSweep, executed by sweep jobs.
 type sweepPlan struct {
 	scale  exp.Scale
 	tasks  []exp.Task
 	points int
 }
 
-// buildSweep validates a decoded sweep payload into an executable plan. It
-// is pure — shared between the synchronous handler and the jobs API; every
-// error maps to HTTP 400.
+// buildSweep validates a decoded sweep payload into an executable plan.
+// Every error maps to HTTP 400.
 func (s *server) buildSweep(req sweepRequest) (sweepPlan, error) {
 	scale := exp.Scale{Instructions: req.Instructions, SenseInterval: req.SenseInterval}
 	if scale.Instructions == 0 {
@@ -1041,42 +935,4 @@ func sweepRows(results []exp.TaskResult) map[string][]sweepPoint {
 		})
 	}
 	return rows
-}
-
-func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	ctx, ent := s.progressCtx(r)
-	outcome := "error"
-	defer func() { ent.finish(map[string]any{"outcome": outcome}) }()
-	// End is first-write-wins: the deferred call closes the span on every
-	// validation error return, the explicit call before RunAllCtx on the
-	// success path.
-	_, vsp := obs.StartSpan(ctx, "validate")
-	defer vsp.End()
-	var req sweepRequest
-	if status, err := decodeBody(w, r, &req); status != 0 {
-		writeError(w, status, "%v", err)
-		return
-	}
-	plan, err := s.buildSweep(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	vsp.End()
-	s.httpm.sweepPoints.Observe(float64(plan.points))
-	results, err := exp.NewRunnerOn(s.eng, plan.scale).RunAllCtx(ctx, plan.tasks)
-	if err != nil {
-		outcome = "aborted"
-		writeError(w, http.StatusServiceUnavailable, "sweep aborted: %v", err)
-		return
-	}
-
-	resp := map[string]any{
-		"points": plan.points,
-		"rows":   sweepRows(results),
-		"engine": s.metrics(),
-	}
-	outcome = "ok"
-	s.attachTrace(r, resp)
-	writeJSON(w, http.StatusOK, resp)
 }

@@ -212,7 +212,7 @@ func (r *syncRecorder) String() string {
 // client, and checks the handler returns and releases its subscription.
 func TestProgressClientDisconnect(t *testing.T) {
 	s := &server{progress: newProgressHub()}
-	ent := s.progress.begin("live")
+	ent := s.progress.entry("live", "requestId")
 	ent.publish("interval", map[string]any{"endInstructions": 1})
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -259,7 +259,7 @@ func TestProgressClientDisconnect(t *testing.T) {
 // block on it, and healthy subscribers keep receiving every event.
 func TestSlowSubscriberDroppedWithoutBlocking(t *testing.T) {
 	hub := newProgressHub()
-	ent := hub.begin("slow-consumer")
+	ent := hub.entry("slow-consumer", "requestId")
 	_, slow, _ := ent.subscribe()
 	_, fast, _ := ent.subscribe()
 
@@ -335,7 +335,7 @@ func TestSlowSubscriberDroppedWithoutBlocking(t *testing.T) {
 // "dropped" event instead of hanging or silently gapping.
 func TestSlowSubscriberStreamEndsWithDrop(t *testing.T) {
 	s := &server{progress: newProgressHub()}
-	ent := s.progress.begin("stall")
+	ent := s.progress.entry("stall", "requestId")
 
 	req := httptest.NewRequest(http.MethodGet, "/v1/runs/stall/progress", nil)
 	req.SetPathValue("id", "stall")

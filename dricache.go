@@ -160,7 +160,7 @@ func SharedTraceStore() *TraceStore { return trace.SharedStore() }
 // advance as lock-step lanes, each returning a Result bit-identical to
 // Run of that configuration alone. All configurations must share one
 // instruction budget. For cached, deduplicated sweeps prefer submitting
-// through an Engine (its RunMany batches this way automatically).
+// through an Engine (its RunManyCtx batches this way automatically).
 func RunLanes(cfgs []SimConfig, bench Benchmark) []Result { return sim.RunLanes(cfgs, bench) }
 
 // ReadLaneStats returns the process-wide lane executor counters.

@@ -1,4 +1,4 @@
-// The engine's batch scheduler: RunMany takes an arbitrary list of
+// The engine's batch scheduler: RunManyCtx takes an arbitrary list of
 // simulation requests — a whole sweep's worth — and executes them as lane
 // batches instead of independent runs. Requests that memoize away (cache
 // hits and in-flight joins) are skipped first; the remainder are grouped by
@@ -64,37 +64,37 @@ func lanesFor(groupSize, numGroups, workers, limit int) int {
 	return lanes
 }
 
-// laneClaim is one simulation RunMany must actually execute: the first
+// laneClaim is one simulation runMany must actually execute: the first
 // request for a key that was neither cached nor in flight. The claim owns
 // the key's cache entry until its batch completes (or panics).
 type laneClaim struct {
-	idx int // first request index under this key, for result placement
-	key Key
-	cfg sim.Config
-	ent *entry
+	idx  int // first request index under this key, for result placement
+	key  Key
+	cfg  sim.Config
+	prog trace.Program
+	ent  *entry
 }
 
-// RunMany executes the requests and returns results in input order —
-// each bit-identical to Run of the same request. It is the sweep
-// entry point: every request is first resolved against the result cache
+// laneGroup is the claims of one call that consume one instruction stream.
+type laneGroup struct {
+	prog   trace.Program
+	claims []*laneClaim
+}
+
+// RunManyCtx executes the requests and returns results in input order —
+// each bit-identical to Run of the same request. It is the sweep entry
+// point: every request is first resolved against the result cache
 // (completed hits and in-flight joins never reach a batch, and duplicate
 // requests within the call coalesce), and the remainder execute as lane
 // batches under the worker limit — grouped by (benchmark, budget), each
-// batch one lock-step pass over a single decode of its stream.
+// batch one lock-step pass over a single decode of its stream. With an obs
+// trace attached, the cache-resolution pass, the batch-forming step, and
+// every lane batch (annotated with its benchmark and lane count) are
+// recorded as child spans.
 //
 // A simulation panic poisons its whole batch: every claim in the batch is
 // uncached (so later requests retry) and the panic propagates to the
-// caller and to every coalesced waiter, matching Run's contract.
-func (e *Engine) RunMany(reqs []Request) []sim.Result {
-	// Background context: an abort error is impossible.
-	out, _ := e.RunManyCtx(context.Background(), reqs)
-	return out
-}
-
-// RunManyCtx is RunMany under a context: with an obs trace attached, the
-// cache-resolution pass, the batch-forming step, and every lane batch
-// (annotated with its benchmark and lane count) are recorded as child
-// spans. Results are identical to RunMany.
+// caller and to every coalesced waiter.
 //
 // Cancelling ctx aborts every batch this call claimed at its next chunk
 // boundary. Aborted claims are uncached exactly like panicked ones — the
@@ -103,30 +103,47 @@ func (e *Engine) RunMany(reqs []Request) []sim.Result {
 // that abort under their owner's cancellation are retried here as long as
 // this call's own context is live.
 func (e *Engine) RunManyCtx(ctx context.Context, reqs []Request) ([]sim.Result, error) {
+	res, _, err := e.runMany(ctx, reqs)
 	out := make([]sim.Result, len(reqs))
+	for i, r := range res {
+		if r != nil {
+			out[i] = *r
+		}
+	}
+	return out, err
+}
+
+// runMany is RunManyCtx returning the cache's shared results, and for each
+// request whether it was served without executing a new simulation: a
+// completed hit, a join of an in-flight twin (or of a duplicate earlier in
+// the call), or a claim settled from the persistence layer. It is the
+// engine's only code that claims a cache entry and settles it — on
+// success, abort and panic. On an abort error the results of the requests
+// that completed are filled in and the rest are nil.
+func (e *Engine) runMany(ctx context.Context, reqs []Request) ([]*sim.Result, []bool, error) {
+	out := make([]*sim.Result, len(reqs))
+	cached := make([]bool, len(reqs))
 	if len(reqs) == 0 {
-		return out, nil
+		return out, cached, nil
 	}
 
 	type wait struct {
 		idx int
 		ent *entry
 	}
-	type laneGroup struct {
-		prog   trace.Program
-		claims []*laneClaim
-	}
 	var (
 		waits   []wait
-		groups  = make(map[groupKey]*laneGroup)
-		order   []groupKey // batch-forming order follows first appearance
-		claimed = make(map[Key]*laneClaim)
+		claims  []*laneClaim
+		claimed map[Key]*laneClaim
 	)
 
 	_, lookup := obs.StartSpan(ctx, "cache_lookup")
-	e.mu.Lock()
+	keys := make([]Key, len(reqs))
 	for i := range reqs {
-		key := KeyFor(reqs[i].Config, reqs[i].Prog)
+		keys[i] = KeyFor(reqs[i].Config, reqs[i].Prog)
+	}
+	e.mu.Lock()
+	for i, key := range keys {
 		if ent, ok := e.entries[key]; ok {
 			select {
 			case <-ent.done:
@@ -144,83 +161,123 @@ func (e *Engine) RunManyCtx(ctx context.Context, reqs []Request) ([]sim.Result, 
 			waits = append(waits, wait{i, c.ent})
 			continue
 		}
-		c := &laneClaim{idx: i, key: key, cfg: reqs[i].Config, ent: &entry{done: make(chan struct{})}}
+		c := &laneClaim{idx: i, key: key, cfg: reqs[i].Config, prog: reqs[i].Prog, ent: &entry{done: make(chan struct{})}}
 		e.entries[key] = c.ent
 		e.misses++
 		e.inFlight++
-		claimed[key] = c
-		gk := groupKeyFor(reqs[i].Prog, reqs[i].Config.Instructions)
-		g := groups[gk]
-		if g == nil {
-			g = &laneGroup{prog: reqs[i].Prog}
-			groups[gk] = g
-			order = append(order, gk)
+		if claimed == nil {
+			claimed = make(map[Key]*laneClaim)
 		}
-		g.claims = append(g.claims, c)
+		claimed[key] = c
+		claims = append(claims, c)
 	}
-	limit := int(e.lanes)
-	workers := e.effectiveLimit()
-	runLanes := e.runLanesFn
 	e.mu.Unlock()
 	lookup.SetAttr("requests", strconv.Itoa(len(reqs)))
-	lookup.SetAttr("claimed", strconv.Itoa(len(claimed)))
+	lookup.SetAttr("claimed", strconv.Itoa(len(claims)))
 	lookup.End()
 
+	if len(claims) > 0 {
+		if err := e.runClaims(ctx, claims, out, cached); err != nil {
+			return out, cached, err
+		}
+	}
+
+	var retry []wait
+	for _, w := range waits {
+		<-w.ent.done
+		if w.ent.panicVal != nil {
+			panic(w.ent.panicVal)
+		}
+		if w.ent.err != nil {
+			// Joined someone else's claim and that owner aborted: retry
+			// under a fresh claim unless this call's own context is dead.
+			if ctx.Err() != nil {
+				return out, cached, w.ent.err
+			}
+			retry = append(retry, w)
+			continue
+		}
+		out[w.idx] = w.ent.res
+		cached[w.idx] = true
+	}
+	if len(retry) > 0 {
+		again := make([]Request, len(retry))
+		for j, w := range retry {
+			again[j] = reqs[w.idx]
+		}
+		res, hit, err := e.runMany(ctx, again)
+		for j, w := range retry {
+			out[w.idx], cached[w.idx] = res[j], hit[j]
+		}
+		if err != nil {
+			return out, cached, err
+		}
+	}
+	return out, cached, nil
+}
+
+// runClaims settles the claims of one runMany call, placing each result in
+// out (cached for a claim answered by the persistence layer). Claims whose
+// result survives on disk settle first; the rest are grouped by the
+// instruction stream they consume and execute as lane batches sized by
+// lanesFor, each on its own goroutine under a worker slot. It returns the
+// first abort error and re-raises the first lane panic after every batch
+// has settled its claims.
+func (e *Engine) runClaims(ctx context.Context, claims []*laneClaim, out []*sim.Result, cached []bool) error {
+	nClaims := len(claims)
 	// Resolve claims against the persistence layer before forming batches:
 	// a claim whose result survives on disk settles immediately (its miss
 	// reclassified as a persist hit) and never occupies a lane.
 	persistSettled := 0
 	if e.persistStore() != nil {
-		for _, gk := range order {
-			g := groups[gk]
-			kept := g.claims[:0]
-			for _, c := range g.claims {
-				if res, ok := e.loadPersisted(c.key); ok {
-					e.settlePersisted(c.key, c.ent, res)
-					out[c.idx] = *res
-					persistSettled++
-					continue
-				}
-				kept = append(kept, c)
+		kept := claims[:0]
+		for _, c := range claims {
+			if res, ok := e.loadPersisted(c.key); ok {
+				e.settlePersisted(c.key, c.ent, res)
+				out[c.idx], cached[c.idx] = res, true
+				persistSettled++
+				continue
 			}
-			g.claims = kept
+			kept = append(kept, c)
 		}
+		claims = kept
 	}
 
 	_, grouping := obs.StartSpan(ctx, "batch_grouping")
+	groups := make(map[groupKey]*laneGroup)
+	var order []*laneGroup // batch-forming order follows first appearance
+	for _, c := range claims {
+		gk := groupKeyFor(c.prog, c.cfg.Instructions)
+		g := groups[gk]
+		if g == nil {
+			g = &laneGroup{prog: c.prog}
+			groups[gk] = g
+			order = append(order, g)
+		}
+		g.claims = append(g.claims, c)
+	}
 	type batch struct {
 		prog   trace.Program
 		claims []*laneClaim
 	}
 	var batches []batch
-	nonEmpty := 0
-	for _, gk := range order {
-		if len(groups[gk].claims) > 0 {
-			nonEmpty++
-		}
-	}
-	for _, gk := range order {
-		g := groups[gk]
-		if len(g.claims) == 0 {
-			continue // fully resolved from the persistence layer
-		}
-		lanes := lanesFor(len(g.claims), nonEmpty, workers, limit)
-		for start := 0; start < len(g.claims); start += lanes {
-			end := min(start+lanes, len(g.claims))
-			batches = append(batches, batch{prog: g.prog, claims: g.claims[start:end]})
-		}
-	}
+	e.mu.Lock()
+	limit, workers, runLanes := int(e.lanes), e.effectiveLimit(), e.runLanesFn
 	// Groups are a batch-forming fact and counted here (only groups that
 	// still have work after cache and persistence resolution); batch and
 	// lane execution (and the decode passes they save) are counted when
 	// each batch completes, because only the executor knows whether a batch
 	// really shared one stream pass.
-	if len(batches) > 0 {
-		e.mu.Lock()
-		e.laneGroups += uint64(nonEmpty)
-		e.mu.Unlock()
+	e.laneGroups += uint64(len(order))
+	e.mu.Unlock()
+	for _, g := range order {
+		lanes := lanesFor(len(g.claims), len(order), workers, limit)
+		for start := 0; start < len(g.claims); start += lanes {
+			end := min(start+lanes, len(g.claims))
+			batches = append(batches, batch{prog: g.prog, claims: g.claims[start:end]})
+		}
 	}
-	grouping.SetAttr("groups", strconv.Itoa(nonEmpty))
+	grouping.SetAttr("groups", strconv.Itoa(len(order)))
 	grouping.SetAttr("batches", strconv.Itoa(len(batches)))
 	grouping.End()
 
@@ -233,13 +290,27 @@ func (e *Engine) RunManyCtx(ctx context.Context, reqs []Request) ([]sim.Result, 
 		// Sweep progress: report completed claims over total claims to a
 		// context-carried observer after each batch. Claims settled from
 		// the persistence layer are already done.
-		progress  = progressFrom(ctx)
-		progMu    sync.Mutex
-		progDone  = persistSettled
-		progTotal = len(claimed)
+		progress = progressFrom(ctx)
+		progMu   sync.Mutex
+		progDone = persistSettled
 	)
 	if progress != nil && persistSettled > 0 {
-		progress(persistSettled, progTotal, "")
+		progress(persistSettled, nClaims, "")
+	}
+	// settleFailed uncaches every claim of a batch that panicked or
+	// aborted, so later requests retry (the cache never holds a partial
+	// result), and wakes its waiters with the panic value or abort error.
+	settleFailed := func(claims []*laneClaim, pv any, err error) {
+		e.mu.Lock()
+		for _, c := range claims {
+			c.ent.panicVal, c.ent.err = pv, err
+			delete(e.entries, c.key)
+			e.inFlight--
+		}
+		e.mu.Unlock()
+		for _, c := range claims {
+			close(c.ent.done)
+		}
 	}
 	for _, b := range batches {
 		wg.Add(1)
@@ -253,21 +324,11 @@ func (e *Engine) RunManyCtx(ctx context.Context, reqs []Request) ([]sim.Result, 
 			e.acquireSlot()
 			qs.End()
 			defer e.releaseSlot()
-			// A lane panic poisons the whole batch: uncache every claim so
-			// later requests retry, wake the waiters with the panic value,
-			// and surface it on the RunMany caller.
+			// A lane panic poisons the whole batch and surfaces on the
+			// caller once every batch has settled.
 			defer func() {
 				if pv := recover(); pv != nil {
-					e.mu.Lock()
-					for _, c := range b.claims {
-						c.ent.panicVal = pv
-						delete(e.entries, c.key)
-						e.inFlight--
-					}
-					e.mu.Unlock()
-					for _, c := range b.claims {
-						close(c.ent.done)
-					}
+					settleFailed(b.claims, pv, nil)
 					panicMu.Lock()
 					if panicVal == nil {
 						panicVal = pv
@@ -281,20 +342,8 @@ func (e *Engine) RunManyCtx(ctx context.Context, reqs []Request) ([]sim.Result, 
 			}
 			rs, shared, err := runLanes(bctx, cfgs, b.prog)
 			if err != nil {
-				// Aborted mid-batch: uncache every claim (same treatment as
-				// a panic — the cache must never hold a partial result) and
-				// hand the abort error to the coalesced waiters.
 				sp.SetAttr("outcome", "aborted")
-				e.mu.Lock()
-				for _, c := range b.claims {
-					c.ent.err = err
-					delete(e.entries, c.key)
-					e.inFlight--
-				}
-				e.mu.Unlock()
-				for _, c := range b.claims {
-					close(c.ent.done)
-				}
+				settleFailed(b.claims, nil, err)
 				panicMu.Lock()
 				if abortErr == nil {
 					abortErr = err
@@ -309,12 +358,11 @@ func (e *Engine) RunManyCtx(ctx context.Context, reqs []Request) ([]sim.Result, 
 				e.decodeSaved += uint64(len(b.claims) - 1)
 			}
 			for j, c := range b.claims {
-				res := rs[j]
-				c.ent.res = &res
+				c.ent.res = &rs[j]
 				e.inFlight--
 				e.completed++
 				e.order = append(e.order, c.key)
-				out[c.idx] = res
+				out[c.idx] = c.ent.res
 			}
 			e.evictLocked()
 			e.mu.Unlock()
@@ -329,7 +377,7 @@ func (e *Engine) RunManyCtx(ctx context.Context, reqs []Request) ([]sim.Result, 
 				progDone += len(b.claims)
 				done := progDone
 				progMu.Unlock()
-				progress(done, progTotal, b.prog.Name)
+				progress(done, nClaims, b.prog.Name)
 			}
 		}(b)
 	}
@@ -337,25 +385,5 @@ func (e *Engine) RunManyCtx(ctx context.Context, reqs []Request) ([]sim.Result, 
 	if panicVal != nil {
 		panic(panicVal)
 	}
-	if abortErr != nil {
-		return out, abortErr
-	}
-	for _, w := range waits {
-		<-w.ent.done
-		if w.ent.panicVal != nil {
-			panic(w.ent.panicVal)
-		}
-		if w.ent.err != nil {
-			// Joined someone else's claim and that owner aborted. This
-			// call's context is (so far) live, so retry under a fresh claim.
-			res, _, err := e.RunCachedCtx(ctx, reqs[w.idx].Config, reqs[w.idx].Prog)
-			if err != nil {
-				return out, err
-			}
-			out[w.idx] = *res
-			continue
-		}
-		out[w.idx] = *w.ent.res
-	}
-	return out, nil
+	return abortErr
 }

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,7 +105,7 @@ func TestCancelledBatchRetriesCleanly(t *testing.T) {
 		reqs = append(reqs, Request{Config: cfg, Prog: prog})
 	}
 	ref := New(0)
-	want := ref.RunMany(reqs)
+	want := mustRunMany(ref, reqs)
 
 	e := New(0)
 	ctx, cancel := context.WithCancelCause(context.Background())
@@ -166,5 +167,67 @@ func TestCancelSettlesPromptly(t *testing.T) {
 		}
 	case <-time.After(hangBound):
 		t.Fatal("RunManyCtx did not settle after cancel")
+	}
+}
+
+// TestJoinRetriesAfterOwnerAborts: a request that joined an in-flight
+// simulation whose owner is then cancelled does not fail with the owner's
+// abort; its own context is live, so it claims the key afresh and
+// simulates.
+func TestJoinRetriesAfterOwnerAborts(t *testing.T) {
+	var calls atomic.Int64
+	started := make(chan struct{})
+	e := New(2)
+	e.runLanesFn = func(ctx context.Context, cfgs []sim.Config, p trace.Program) ([]sim.Result, bool, error) {
+		if calls.Add(1) == 1 {
+			close(started)
+			<-ctx.Done()
+			return nil, false, context.Cause(ctx)
+		}
+		out := make([]sim.Result, len(cfgs))
+		for i := range out {
+			out[i] = sim.Result{Benchmark: p.Name}
+		}
+		return out, false, nil
+	}
+	cfg, p := cfgAt(0), prog(t, "applu")
+
+	ownerCtx, cancel := context.WithCancelCause(context.Background())
+	ownerErr := make(chan error, 1)
+	go func() {
+		_, _, err := e.RunCachedCtx(ownerCtx, cfg, p)
+		ownerErr <- err
+	}()
+	<-started
+	type joined struct {
+		res    *sim.Result
+		cached bool
+		err    error
+	}
+	joiner := make(chan joined, 1)
+	go func() {
+		res, cached, err := e.RunCachedCtx(context.Background(), cfg, p)
+		joiner <- joined{res, cached, err}
+	}()
+	for e.Stats().Deduped != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel(errors.New("test: owner gives up"))
+
+	if err := <-ownerErr; err == nil {
+		t.Fatal("cancelled owner returned no error")
+	}
+	got := <-joiner
+	if got.err != nil {
+		t.Fatalf("joiner failed with its owner's abort: %v", got.err)
+	}
+	if got.cached || got.res == nil || got.res.Benchmark != "applu" {
+		t.Fatalf("joiner = %+v cached=%v, want a fresh simulation of applu", got.res, got.cached)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("executed %d simulations, want 2 (the aborted one and the retry)", n)
+	}
+	if s := e.Stats(); s.InFlight != 0 || s.Entries != 1 {
+		t.Fatalf("stats after retry = %+v, want nothing in flight and one entry", s)
 	}
 }

@@ -16,10 +16,12 @@
 //     arbitrary number of outstanding requests never oversubscribes the
 //     machine.
 //
-// Because Compare routes both of its runs through the same cache, the
-// conventional baseline of a geometry is automatically shared across every
-// Compare and sweep that touches it — the generalization of the private
-// baseline map internal/exp used to keep.
+// Every simulation entry point is a call of one batch scheduler
+// (RunManyCtx, see batch.go), the only code that claims a cache entry and
+// settles it. Because Compare routes both of its runs through the same
+// cache, the conventional baseline of a geometry is automatically shared
+// across every Compare and sweep that touches it — the generalization of
+// the private baseline map internal/exp used to keep.
 //
 // Results handed out by the engine are shared: callers must treat them
 // (including the Events slice and SizeResidency map) as read-only.
@@ -61,7 +63,7 @@ func KeyFor(cfg sim.Config, prog trace.Program) Key {
 	return Key(hex.EncodeToString(h.Sum(nil)))
 }
 
-// LaneStats counts the engine's batch scheduler activity: RunMany groups
+// LaneStats counts the engine's batch scheduler activity: RunManyCtx groups
 // pending simulations by (benchmark, budget), partitions each group into
 // lane batches, and executes every batch as a single pass over the stream.
 type LaneStats struct {
@@ -165,7 +167,7 @@ type Engine struct {
 	persist     *persist.Store
 	persistHits uint64
 
-	// lanes is the lane-partition limit for RunMany batches; <= 0 selects
+	// lanes is the lane-partition limit for lane batches; <= 0 selects
 	// the GOMAXPROCS-aware automatic policy (see planBatches).
 	lanes       uint64
 	laneGroups  uint64
@@ -173,15 +175,13 @@ type Engine struct {
 	laneRuns    uint64
 	decodeSaved uint64
 
-	// runFn executes one simulation and runLanesFn one lane batch; swapped
-	// together by tests (setRunFn) to count and stall executions. Default
-	// to sim.RunCtxE / sim.RunLanesNotedCtx. runLanesFn's bool result
-	// reports whether the batch actually shared one stream pass (a replay
-	// decode, or a generator pass when the trace store bypasses the
-	// stream) — false for a one-lane batch, where no saving may be
-	// credited. A non-nil error means the run aborted on context
+	// runLanesFn executes one lane batch; tests swap it (setRunFn) to
+	// count and stall executions. It defaults to sim.RunLanesNotedCtx. Its
+	// bool result reports whether the batch actually shared one stream
+	// pass (a replay decode, or a generator pass when the trace store
+	// bypasses the stream) — false for a one-lane batch, where no saving
+	// may be credited. A non-nil error means the run aborted on context
 	// cancellation and nothing may be cached or counted.
-	runFn      func(context.Context, sim.Config, trace.Program) (sim.Result, error)
 	runLanesFn func(context.Context, []sim.Config, trace.Program) ([]sim.Result, bool, error)
 }
 
@@ -191,20 +191,16 @@ func New(workers int) *Engine {
 	e := &Engine{
 		limit:      workers,
 		entries:    make(map[Key]*entry),
-		runFn:      sim.RunCtxE,
 		runLanesFn: sim.RunLanesNotedCtx,
 	}
 	e.slot = sync.NewCond(&e.mu)
 	return e
 }
 
-// setRunFn swaps the simulation executor (a test seam): single runs call f
-// directly and lane batches loop it, so counting/stalling stubs observe
-// every simulation regardless of how the scheduler partitions work.
+// setRunFn swaps the simulation executor (a test seam): lane batches loop
+// f, so counting/stalling stubs observe every simulation regardless of how
+// the scheduler partitions work.
 func (e *Engine) setRunFn(f func(sim.Config, trace.Program) sim.Result) {
-	e.runFn = func(_ context.Context, cfg sim.Config, p trace.Program) (sim.Result, error) {
-		return f(cfg, p), nil
-	}
 	e.runLanesFn = func(_ context.Context, cfgs []sim.Config, p trace.Program) ([]sim.Result, bool, error) {
 		out := make([]sim.Result, len(cfgs))
 		for i, c := range cfgs {
@@ -312,20 +308,16 @@ func (e *Engine) Stats() Stats {
 // Run executes (or recalls) the simulation of prog under cfg. The returned
 // value shares internal slices/maps with the cache; treat it as read-only.
 func (e *Engine) Run(cfg sim.Config, prog trace.Program) sim.Result {
-	return *e.RunShared(cfg, prog)
-}
-
-// RunCached is Run reporting whether the result was served without
-// executing a new simulation (a completed cache hit or an in-flight join).
-func (e *Engine) RunCached(cfg sim.Config, prog trace.Program) (*sim.Result, bool) {
 	// A Background context cannot cancel, so an abort error is impossible.
-	res, cached, _ := e.RunCachedCtx(context.Background(), cfg, prog)
-	return res, cached
+	res, _, _ := e.RunCachedCtx(context.Background(), cfg, prog)
+	return *res
 }
 
-// RunCachedCtx is RunCached under a context: with an obs trace attached the
-// cache lookup (including any wait on an in-flight twin) and — on a miss —
-// the queue wait and simulation are recorded as child spans.
+// RunCachedCtx executes (or recalls) one simulation under ctx, returning the
+// cache's shared result and whether it was served without executing a new
+// simulation (a completed cache hit, an in-flight join, or a persisted
+// result). It is a one-request RunManyCtx: with an obs trace attached the
+// cache lookup, batch grouping and lane run are recorded as child spans.
 //
 // Cancelling ctx aborts an owned simulation at the next chunk boundary; the
 // aborted entry is uncached (never served to anyone) and the error — which
@@ -333,107 +325,11 @@ func (e *Engine) RunCached(cfg sim.Config, prog trace.Program) (*sim.Result, boo
 // in-flight twin that aborts does not fail this request: if its own context
 // is still live it retries under a fresh claim.
 func (e *Engine) RunCachedCtx(ctx context.Context, cfg sim.Config, prog trace.Program) (*sim.Result, bool, error) {
-	key := KeyFor(cfg, prog)
-	for {
-		_, lookup := obs.StartSpan(ctx, "cache_lookup")
-		e.mu.Lock()
-		if ent, ok := e.entries[key]; ok {
-			cached := "hit"
-			select {
-			case <-ent.done:
-				e.hits++
-			default:
-				e.deduped++
-				cached = "join"
-			}
-			e.mu.Unlock()
-			<-ent.done
-			lookup.SetAttr("outcome", cached)
-			lookup.End()
-			if ent.panicVal != nil {
-				panic(ent.panicVal)
-			}
-			if ent.err != nil {
-				// The claimer aborted; its entry is already uncached. Retry
-				// unless this request's own context is dead too.
-				if ctx.Err() != nil {
-					return nil, false, ent.err
-				}
-				continue
-			}
-			return ent.res, true, nil
-		}
-		ent := &entry{done: make(chan struct{})}
-		e.entries[key] = ent
-		e.misses++
-		e.inFlight++
-		e.mu.Unlock()
-		lookup.SetAttr("outcome", "miss")
-		lookup.End()
-
-		fromPersist, err := e.runClaimed(ctx, key, ent, cfg, prog)
-		if err != nil {
-			return nil, false, err
-		}
-		// A claim answered from the persistence layer counts as served
-		// without executing a simulation: report it cached.
-		return ent.res, fromPersist, nil
-	}
-}
-
-// runClaimed executes the simulation this goroutine holds the claim for and
-// settles the entry: caching on success, uncaching (with the panic value or
-// abort error attached for coalesced waiters) otherwise. When a persistence
-// layer holds the result, the claim settles from disk without simulating
-// and fromPersist is true.
-func (e *Engine) runClaimed(ctx context.Context, key Key, ent *entry, cfg sim.Config, prog trace.Program) (fromPersist bool, err error) {
-	// On a simulation panic, uncache the entry (so later requests retry),
-	// propagate the panic value to every coalesced waiter, and re-panic.
-	defer func() {
-		if pv := recover(); pv != nil {
-			e.mu.Lock()
-			ent.panicVal = pv
-			delete(e.entries, key)
-			e.inFlight--
-			e.mu.Unlock()
-			close(ent.done)
-			panic(pv)
-		}
-	}()
-
-	if res, ok := e.loadPersisted(key); ok {
-		e.settlePersisted(key, ent, res)
-		return true, nil
-	}
-
-	res, err := e.execute(ctx, cfg, prog)
+	out, cached, err := e.runMany(ctx, []Request{{Config: cfg, Prog: prog}})
 	if err != nil {
-		e.mu.Lock()
-		ent.err = err
-		delete(e.entries, key)
-		e.inFlight--
-		e.mu.Unlock()
-		close(ent.done)
-		return false, err
+		return nil, false, err
 	}
-
-	e.mu.Lock()
-	ent.res = &res
-	e.inFlight--
-	e.completed++
-	e.order = append(e.order, key)
-	e.evictLocked()
-	e.mu.Unlock()
-	close(ent.done)
-	e.storePersisted(key, &res)
-	return false, nil
-}
-
-// RunShared is Run returning the cache's shared pointer: repeated identical
-// requests return the identical *sim.Result.
-func (e *Engine) RunShared(cfg sim.Config, prog trace.Program) *sim.Result {
-	res, _ := e.RunCached(cfg, prog)
-	return res
+	return out[0], cached[0], nil
 }
 
 // acquireSlot blocks until a worker slot is free and claims it.
@@ -455,22 +351,6 @@ func (e *Engine) releaseSlot() {
 	e.slot.Signal()
 }
 
-// execute runs one simulation under the worker limit. Waiters coalesced on
-// an entry do not hold slots, so composite operations (Compare, sweeps) can
-// block on shared work without deadlocking the pool.
-func (e *Engine) execute(ctx context.Context, cfg sim.Config, prog trace.Program) (sim.Result, error) {
-	_, qs := obs.StartSpan(ctx, "queue_wait")
-	e.acquireSlot()
-	qs.End()
-	defer e.releaseSlot()
-	e.mu.Lock()
-	run := e.runFn
-	e.mu.Unlock()
-	ctx, sp := obs.StartSpan(ctx, "simulate")
-	defer sp.End()
-	return run(ctx, cfg, prog)
-}
-
 // Do runs f under the engine's worker limit without touching the result
 // cache — for non-memoizable work (e.g. trace-driven studies) that should
 // share the engine's concurrency budget.
@@ -481,9 +361,11 @@ func (e *Engine) Do(f func()) {
 }
 
 // Baseline returns the shared conventional run of prog on the geometry of
-// driCfg (adaptive parameters stripped) at the given budget.
+// driCfg (adaptive parameters stripped) at the given budget: repeated calls
+// return the identical *sim.Result.
 func (e *Engine) Baseline(driCfg dri.Config, prog trace.Program, instructions uint64) *sim.Result {
-	return e.RunShared(sim.Default(sim.BaselineConfig(driCfg), instructions), prog)
+	res, _, _ := e.RunCachedCtx(context.Background(), sim.Default(sim.BaselineConfig(driCfg), instructions), prog)
+	return res
 }
 
 // Compare runs prog under both driCfg and the conventional cache of the
@@ -492,71 +374,36 @@ func (e *Engine) Baseline(driCfg dri.Config, prog trace.Program, instructions ui
 // at most two simulations total, and the baseline is shared with every
 // other Compare of the same geometry.
 func (e *Engine) Compare(driCfg dri.Config, prog trace.Program, instructions uint64) sim.Comparison {
-	cmp, _ := e.CompareCached(driCfg, prog, instructions)
+	cmp, _, _ := e.CompareSimCachedCtx(context.Background(), sim.Default(driCfg, instructions), prog)
 	return cmp
 }
 
-// CompareCached is Compare reporting whether the baseline and DRI runs were
-// each served from the cache.
-func (e *Engine) CompareCached(driCfg dri.Config, prog trace.Program, instructions uint64) (sim.Comparison, CompareOutcome) {
-	return e.CompareSimCached(sim.Default(driCfg, instructions), prog)
-}
-
-// CompareSim is CompareSimCached without the cache outcome.
-func (e *Engine) CompareSim(cfg sim.Config, prog trace.Program) sim.Comparison {
-	cmp, _ := e.CompareSimCached(cfg, prog)
-	return cmp
-}
-
-// CompareSimCached is Compare generalized to a full system configuration:
-// cfg may resize the L1 i-cache, the unified L2, or both, and the baseline
-// is the all-conventional system of the same geometry. Because the cache
-// key covers the whole sim.Config — including the L2 configuration — joint
-// L1×L2 sweeps share their baseline and every repeated point, while runs
-// that differ only in L2 parameters are (correctly) distinct entries.
-func (e *Engine) CompareSimCached(cfg sim.Config, prog trace.Program) (sim.Comparison, CompareOutcome) {
-	// Background context: an abort error is impossible.
-	cmp, oc, _ := e.CompareSimCachedCtx(context.Background(), cfg, prog)
-	return cmp, oc
-}
-
-// CompareSimCachedCtx is CompareSimCached under a context: the baseline and
-// DRI runs record their spans concurrently under the caller's trace (the
-// obs span tree is safe for parallel children), and the energy accounting
-// is recorded as a compare_assemble span. Cancellation aborts both runs;
-// the error wraps cpu.ErrAborted and neither run is cached.
+// CompareSimCachedCtx is Compare generalized to a full system
+// configuration: cfg may resize the L1 i-cache, the unified L2, or both,
+// and the baseline is the all-conventional system of the same geometry.
+// Because the cache key covers the whole sim.Config — including the L2
+// configuration — joint L1×L2 sweeps share their baseline and every
+// repeated point, while runs that differ only in L2 parameters are
+// (correctly) distinct entries. It reports whether each run was served
+// from the cache.
+//
+// The baseline and DRI runs are one RunManyCtx call: when both are cold
+// and the pool has more than one worker, they run as two parallel one-lane
+// batches. The energy accounting is recorded as a compare_assemble span.
+// Cancellation aborts both runs; the error wraps cpu.ErrAborted and
+// neither run is cached.
 func (e *Engine) CompareSimCachedCtx(ctx context.Context, cfg sim.Config, prog trace.Program) (sim.Comparison, CompareOutcome, error) {
-	var (
-		conv       *sim.Result
-		convCached bool
-		convPanic  any
-		convErr    error
-		wg         sync.WaitGroup
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		// Re-raise a baseline panic on the caller's goroutine instead of
-		// crashing the process.
-		defer func() { convPanic = recover() }()
-		conv, convCached, convErr = e.RunCachedCtx(ctx, sim.BaselineSimConfig(cfg), prog)
-	}()
-	driRes, driCached, driErr := e.RunCachedCtx(ctx, cfg, prog)
-	wg.Wait()
-	if convPanic != nil {
-		panic(convPanic)
+	out, cached, err := e.runMany(ctx, []Request{
+		{Config: sim.BaselineSimConfig(cfg), Prog: prog},
+		{Config: cfg, Prog: prog},
+	})
+	if err != nil {
+		return sim.Comparison{}, CompareOutcome{}, err
 	}
-	if driErr != nil {
-		return sim.Comparison{}, CompareOutcome{}, driErr
-	}
-	if convErr != nil {
-		return sim.Comparison{}, CompareOutcome{}, convErr
-	}
-
 	_, sp := obs.StartSpan(ctx, "compare_assemble")
-	cmp := sim.CompareSimResults(cfg, *conv, *driRes)
+	cmp := sim.CompareSimResults(cfg, *out[0], *out[1])
 	sp.End()
-	return cmp, CompareOutcome{BaselineCached: convCached, DRICached: driCached}, nil
+	return cmp, CompareOutcome{BaselineCached: cached[0], DRICached: cached[1]}, nil
 }
 
 // CompareOutcome reports the cache outcome of one Compare.
@@ -568,15 +415,8 @@ type CompareOutcome struct {
 	DRICached bool
 }
 
-// Request is one simulation for RunBatch.
+// Request is one simulation for RunManyCtx.
 type Request struct {
 	Config sim.Config
 	Prog   trace.Program
 }
-
-// RunBatch executes the requests concurrently under the worker limit and
-// returns results in input order. Duplicate requests within (or across)
-// batches are simulated once. It is RunMany: requests that share an
-// instruction stream and survive the cache execute as lane batches over a
-// single decode of that stream.
-func (e *Engine) RunBatch(reqs []Request) []sim.Result { return e.RunMany(reqs) }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -37,6 +38,25 @@ func quickDRI() dri.Config {
 }
 
 const quickInstrs = 500_000
+
+// mustRunCached is RunCachedCtx under a context that cannot cancel, so an
+// abort error is a bug.
+func mustRunCached(e *Engine, cfg sim.Config, p trace.Program) (*sim.Result, bool) {
+	res, cached, err := e.RunCachedCtx(context.Background(), cfg, p)
+	if err != nil {
+		panic(err)
+	}
+	return res, cached
+}
+
+// mustRunMany is RunManyCtx under a context that cannot cancel.
+func mustRunMany(e *Engine, reqs []Request) []sim.Result {
+	out, err := e.RunManyCtx(context.Background(), reqs)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
 
 // countingEngine replaces the simulation with a counted stub that stalls
 // long enough for concurrent submissions to pile up in flight.
@@ -117,7 +137,7 @@ func TestSingleFlightDedup(t *testing.T) {
 	}
 
 	// A later identical request is a plain cache hit, still one execution.
-	if _, cached := e.RunCached(cfg, p); !cached {
+	if _, cached := mustRunCached(e, cfg, p); !cached {
 		t.Error("repeat request not served from cache")
 	}
 	if got := executions.Load(); got != 1 {
@@ -151,7 +171,7 @@ func TestParallelismBound(t *testing.T) {
 		cfg.Params.MissBound = uint64(i + 1) // 16 distinct keys
 		reqs = append(reqs, Request{Config: sim.Default(cfg, quickInstrs), Prog: prog(t, "applu")})
 	}
-	e.RunBatch(reqs)
+	mustRunMany(e, reqs)
 
 	if got := executions.Load(); got != 16 {
 		t.Fatalf("executed %d, want 16", got)
@@ -178,7 +198,7 @@ func TestSetParallelismReleasesQueue(t *testing.T) {
 		cfg.Params.MissBound = uint64(i + 1)
 		reqs = append(reqs, Request{Config: sim.Default(cfg, quickInstrs), Prog: prog(t, "applu")})
 	}
-	e.RunBatch(reqs)
+	mustRunMany(e, reqs)
 	if got := executions.Load(); got != 8 {
 		t.Fatalf("executed %d, want 8", got)
 	}
@@ -265,11 +285,11 @@ func TestConcurrencyStress(t *testing.T) {
 				case 0:
 					e.Run(sim.Default(cfg, quickInstrs), p)
 				case 1:
-					e.RunShared(sim.Default(cfg, quickInstrs), p)
+					mustRunMany(e, []Request{{Config: sim.Default(cfg, quickInstrs), Prog: p}})
 				case 2:
 					e.SetParallelism((g+i)%6 + 1)
 					e.Stats()
-					e.RunCached(sim.Default(cfg, quickInstrs), p)
+					mustRunCached(e, sim.Default(cfg, quickInstrs), p)
 				}
 			}
 		}(g)
@@ -303,7 +323,7 @@ func TestRealSimulationsThroughEngine(t *testing.T) {
 		{Config: cfg, Prog: li},
 		{Config: cfg, Prog: applu}, // duplicate of [0]
 	}
-	out := e.RunBatch(reqs)
+	out := mustRunMany(e, reqs)
 	if len(out) != 3 {
 		t.Fatalf("len(out) = %d", len(out))
 	}
@@ -393,7 +413,7 @@ func TestPanicPropagatesAndUncaches(t *testing.T) {
 		t.Fatalf("stats after retry = %+v", s)
 	}
 
-	// A baseline panic inside CompareCached surfaces on the caller.
+	// A baseline panic inside Compare surfaces on the caller.
 	e2 := New(2)
 	e2.setRunFn(func(cfg sim.Config, p trace.Program) sim.Result {
 		if !cfg.Mem.L1I.Params.Enabled {

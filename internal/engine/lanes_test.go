@@ -30,7 +30,10 @@ func TestRunManyGroupsAndSkipsCached(t *testing.T) {
 	applu, li := prog(t, "applu"), prog(t, "li")
 
 	// Pre-cache one applu point; it must be served as a hit, not batched.
+	// The pre-cache run is itself a one-lane batch, so the lane counters
+	// below are read as deltas over it.
 	e.Run(cfgAt(0), applu)
+	before := e.Stats().Lanes
 
 	var reqs []Request
 	for i := 0; i < 6; i++ {
@@ -40,7 +43,7 @@ func TestRunManyGroupsAndSkipsCached(t *testing.T) {
 		reqs = append(reqs, Request{Config: cfgAt(i), Prog: li})
 	}
 	reqs = append(reqs, Request{Config: cfgAt(1), Prog: applu}) // in-call duplicate
-	out := e.RunMany(reqs)
+	out := mustRunMany(e, reqs)
 
 	if got := executions.Load(); got != 10 {
 		t.Fatalf("executed %d simulations, want 10 (1 pre-cached + 9 batched)", got)
@@ -53,19 +56,25 @@ func TestRunManyGroupsAndSkipsCached(t *testing.T) {
 	}
 
 	s := e.Stats()
-	if s.Lanes.Groups != 2 {
-		t.Errorf("lane groups = %d, want 2 (applu, li)", s.Lanes.Groups)
+	groups := s.Lanes.Groups - before.Groups
+	lanes := s.Lanes.Lanes - before.Lanes
+	batches := s.Lanes.Batches - before.Batches
+	saved := s.Lanes.DecodeSaved - before.DecodeSaved
+	if before.Groups != 1 || before.Lanes != 1 || before.Batches != 1 || before.DecodeSaved != 0 {
+		t.Errorf("pre-cache run counted %+v, want one group, lane and batch, no decode saved", before)
 	}
-	if s.Lanes.Lanes != 9 {
-		t.Errorf("lanes = %d, want 9 (cached hit and duplicate skipped)", s.Lanes.Lanes)
+	if groups != 2 {
+		t.Errorf("lane groups = %d, want 2 (applu, li)", groups)
+	}
+	if lanes != 9 {
+		t.Errorf("lanes = %d, want 9 (cached hit and duplicate skipped)", lanes)
 	}
 	// 4 workers over 2 groups: each group splits into 2 batches.
-	if s.Lanes.Batches != 4 {
-		t.Errorf("batches = %d, want 4", s.Lanes.Batches)
+	if batches != 4 {
+		t.Errorf("batches = %d, want 4", batches)
 	}
-	if s.Lanes.DecodeSaved != s.Lanes.Lanes-s.Lanes.Batches {
-		t.Errorf("decodeSaved = %d, want lanes-batches = %d",
-			s.Lanes.DecodeSaved, s.Lanes.Lanes-s.Lanes.Batches)
+	if saved != lanes-batches {
+		t.Errorf("decodeSaved = %d, want lanes-batches = %d", saved, lanes-batches)
 	}
 	if s.Hits != 1 || s.Deduped != 1 || s.Misses != 10 {
 		t.Errorf("hits/deduped/misses = %d/%d/%d, want 1/1/10", s.Hits, s.Deduped, s.Misses)
@@ -98,7 +107,7 @@ func TestSetLanesCapsBatchSize(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		reqs = append(reqs, Request{Config: cfgAt(i), Prog: prog(t, "applu")})
 	}
-	e.RunMany(reqs)
+	mustRunMany(e, reqs)
 	total := 0
 	for _, n := range sizes {
 		if n > 2 {
@@ -164,7 +173,7 @@ func TestRunManyPanicPoisonsBatch(t *testing.T) {
 				t.Fatal("RunMany did not propagate the lane panic")
 			}
 		}()
-		e.RunMany(reqs)
+		mustRunMany(e, reqs)
 	}()
 
 	s := e.Stats()
@@ -173,7 +182,7 @@ func TestRunManyPanicPoisonsBatch(t *testing.T) {
 	}
 	// The poisoned batch uncached all three claims; a retry re-executes and
 	// succeeds (the stub only panics on its first pass).
-	out := e.RunMany(reqs)
+	out := mustRunMany(e, reqs)
 	for i := range out {
 		if out[i].Benchmark != "applu" {
 			t.Fatalf("retry out[%d] = %+v", i, out[i])
@@ -204,7 +213,7 @@ func TestRunManyStoreBypassDecodeSaved(t *testing.T) {
 		{Config: cfgAt(2), Prog: p},
 		{Config: cfgAt(1), Prog: p}, // in-call duplicate joins mid-batch
 	}
-	out := e.RunMany(reqs)
+	out := mustRunMany(e, reqs)
 	if !reflect.DeepEqual(out[1], out[3]) {
 		t.Error("in-call duplicate diverges from its claim's result")
 	}
@@ -232,7 +241,7 @@ func TestRunManyStoreBypassDecodeSaved(t *testing.T) {
 	// shares one replay decode, credited the same way.
 	st.SetBudget(trace.DefaultStoreBudget)
 	e2 := New(1)
-	e2.RunMany(reqs[:3])
+	mustRunMany(e2, reqs[:3])
 	if s := e2.Stats(); s.Lanes.DecodeSaved != 2 {
 		t.Errorf("DecodeSaved = %d on the lane path, want 2", s.Lanes.DecodeSaved)
 	}
@@ -247,7 +256,7 @@ func TestRunManyMatchesRun(t *testing.T) {
 	for i, c := range cfgs {
 		reqs[i] = Request{Config: c, Prog: p}
 	}
-	batched := New(0).RunMany(reqs)
+	batched := mustRunMany(New(0), reqs)
 	for i, c := range cfgs {
 		solo := New(0).Run(c, p)
 		if !reflect.DeepEqual(batched[i], solo) {

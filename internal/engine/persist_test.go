@@ -61,7 +61,7 @@ func TestPersistRoundTripAllPolicies(t *testing.T) {
 
 			e1 := New(0)
 			e1.SetPersist(openPersist(t, mem))
-			cold, cached := e1.RunCached(cfg, bench)
+			cold, cached := mustRunCached(e1, cfg, bench)
 			if cached {
 				t.Fatal("cold run reported cached")
 			}
@@ -69,7 +69,7 @@ func TestPersistRoundTripAllPolicies(t *testing.T) {
 
 			e2 := New(0)
 			e2.SetPersist(openPersist(t, mem))
-			warm, cached := e2.RunCached(cfg, bench)
+			warm, cached := mustRunCached(e2, cfg, bench)
 			if !cached {
 				t.Fatal("warm run after restart not served as a cache hit")
 			}
@@ -147,7 +147,7 @@ func TestPersistCorruptArtifactRecomputes(t *testing.T) {
 	p2 := openPersist(t, mem)
 	e2 := New(0)
 	e2.SetPersist(p2)
-	warm, cached := e2.RunCached(cfg, bench)
+	warm, cached := mustRunCached(e2, cfg, bench)
 	if cached {
 		t.Fatal("corrupt artifact was served as a hit")
 	}
@@ -182,7 +182,7 @@ func TestRunManyPersistWarm(t *testing.T) {
 	}
 
 	e1 := newEng()
-	cold := e1.RunMany(reqs)
+	cold := mustRunMany(e1, reqs)
 	if got := executions.Load(); got != 10 {
 		t.Fatalf("cold sweep executed %d, want 10", got)
 	}
@@ -190,7 +190,7 @@ func TestRunManyPersistWarm(t *testing.T) {
 
 	// Full warm restart: zero executions, all ten from disk.
 	e2 := newEng()
-	warm := e2.RunMany(reqs)
+	warm := mustRunMany(e2, reqs)
 	if got := executions.Load(); got != 10 {
 		t.Fatalf("warm sweep executed %d more simulations, want 0", got-10)
 	}
@@ -211,7 +211,7 @@ func TestRunManyPersistWarm(t *testing.T) {
 		t.Fatalf("Remove: %v", err)
 	}
 	e3 := newEng()
-	partial := e3.RunMany(reqs)
+	partial := mustRunMany(e3, reqs)
 	if got := executions.Load(); got != 11 {
 		t.Fatalf("partial warm executed %d more, want 1", got-10)
 	}
@@ -255,7 +255,7 @@ func TestPersistEvictedFromMemoryServedFromDisk(t *testing.T) {
 	}
 	flushPersist(t, e.persistStore())
 	// cfgAt(0) was evicted from memory long ago; the disk still has it.
-	_, cached := e.RunCached(cfgAt(0), bench)
+	_, cached := mustRunCached(e, cfgAt(0), bench)
 	if !cached {
 		t.Fatal("evicted entry not served from disk")
 	}

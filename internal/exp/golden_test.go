@@ -15,6 +15,7 @@ package exp
 // and review the testdata/ diff like any other code change.
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -148,7 +149,10 @@ func TestGoldenRuns(t *testing.T) {
 			engine.Request{Config: driCfg, Prog: b})
 		labels = append(labels, b.Name+"/conventional", b.Name+"/dri")
 	}
-	results := eng.RunBatch(reqs)
+	results, err := eng.RunManyCtx(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	got := make(map[string]goldenRun, len(results))
 	for i, res := range results {

@@ -9,6 +9,7 @@ package exp
 // numbers the seed established.
 
 import (
+	"context"
 	"testing"
 
 	"dricache/internal/dri"
@@ -39,7 +40,10 @@ func TestGoldenPolicySelectorsBitForBit(t *testing.T) {
 			engine.Request{Config: driCfg, Prog: b})
 		labels = append(labels, b.Name+"/conventional", b.Name+"/dri")
 	}
-	results := eng.RunBatch(reqs)
+	results, err := eng.RunManyCtx(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for i, res := range results {
 		label := labels[i]

@@ -3,13 +3,15 @@
 // cancellation, per-job deadlines, and drain-aware shutdown.
 //
 // A job is any context-aware function (the server wraps its run/compare/
-// sweep handlers). The manager admits it against queue and per-client
+// sweep payloads). The manager admits it against queue and per-client
 // budgets, queues it by priority, dispatches under a worker limit, and
-// keeps a bounded window of finished jobs for result pickup. Cancellation
-// and deadlines act through the job's context, which the simulation stack
-// checks at 256-instruction chunk boundaries — so cancelling a running
-// sweep stops it within one chunk+batch boundary, not at the next HTTP
-// write.
+// keeps a bounded window of finished jobs for result pickup. Submit returns
+// at admission; Do admits the same way and waits for the job to settle, so
+// a synchronous caller gets the same limits, deadlines and cancellation.
+// Cancellation and deadlines act through the job's context, which the
+// simulation stack checks at 256-instruction chunk boundaries — so
+// cancelling a running sweep stops it within one chunk+batch boundary, not
+// at the next HTTP write.
 package jobs
 
 import (
@@ -23,6 +25,8 @@ import (
 	"slices"
 	"sync"
 	"time"
+
+	"dricache/internal/obs"
 )
 
 // State is a job's lifecycle state.
@@ -56,6 +60,9 @@ var (
 	ErrShutdown = errors.New("jobs: shutting down")
 	// ErrNotFound is returned for unknown (or evicted) job IDs.
 	ErrNotFound = errors.New("jobs: no such job")
+	// ErrDuplicate rejects a request naming an ID a live or retained job
+	// already holds.
+	ErrDuplicate = errors.New("jobs: duplicate job id")
 )
 
 // AdmissionError is a structured rejection: why the job was not admitted
@@ -78,6 +85,8 @@ type Func func(ctx context.Context) (any, error)
 
 // Request describes one job submission.
 type Request struct {
+	// ID names the job; empty selects a fresh random ID.
+	ID string
 	// Kind labels the payload ("run", "compare", "sweep") for snapshots.
 	Kind string
 	// Client is the admission identity (API key or remote address).
@@ -110,6 +119,10 @@ type Snapshot struct {
 	Result any
 	// Error is the failure/cancellation message for terminal non-done states.
 	Error string
+
+	// sync marks a Do job: its caller waits for the outcome, so the
+	// observer is not told of its transitions.
+	sync bool
 }
 
 // QueueWait is how long the job waited (or has waited) for a worker.
@@ -132,6 +145,17 @@ type job struct {
 	cancel context.CancelCauseFunc // non-nil while running
 	expiry *time.Timer             // armed while queued with a deadline
 	index  int                     // heap index; -1 when not queued
+	// base carries the values of the job's context: a Do caller's context
+	// without its cancellation (Do cancels through the manager instead),
+	// Background for Submit.
+	base context.Context
+	// wait times the queue wait under the Do caller's span tree; ended at
+	// dispatch or when the job settles unstarted.
+	wait *obs.Span
+	// start is a Do job's hand-off to its waiting caller: dispatch sends
+	// the run for the caller to execute on its own goroutine (buffered, so
+	// dispatch never blocks), and settling closes it.
+	start chan func()
 }
 
 // Config bounds a Manager. Zero values select the documented defaults.
@@ -236,10 +260,46 @@ func newID() string {
 
 // Submit admits, queues, and (capacity permitting) immediately dispatches
 // a job, returning its snapshot. A rejection is an *AdmissionError with a
-// machine-readable reason and a Retry-After hint.
+// machine-readable reason and a Retry-After hint, or ErrDuplicate.
 func (m *Manager) Submit(req Request) (Snapshot, error) {
+	_, notify, err := m.admit(context.Background(), req, false)
+	if err != nil {
+		return Snapshot{}, err
+	}
+	m.notifyAll(notify)
+	return notify[0], nil
+}
+
+// Do admits req exactly like Submit, waits for a worker, runs it on the
+// calling goroutine under a context carrying ctx's values (obs spans nest
+// under ctx's span tree, and the queue wait is recorded as a
+// job_queue_wait span) and returns the terminal snapshot. Cancelling ctx
+// cancels the job, queued or running, which then ends StateCancelled. A
+// Do job is addressable by ID while live, but it is not retained once
+// finished and the observer is not told of it: its caller holds the
+// outcome.
+func (m *Manager) Do(ctx context.Context, req Request) (Snapshot, error) {
+	j, notify, err := m.admit(ctx, req, true)
+	if err != nil {
+		return Snapshot{}, err
+	}
+	m.notifyAll(notify)
+	stop := context.AfterFunc(ctx, func() { m.cancel(j) })
+	// A dispatched job settles by running; one that never starts settles
+	// while queued, which closes start without a run.
+	if run := <-j.start; run != nil {
+		run()
+	}
+	stop()
+	// Nothing writes a settled job's snapshot again.
+	return j.snap, nil
+}
+
+// admit applies admission control, queues the job and dispatches what
+// capacity allows. The returned notices lead with the queued snapshot.
+func (m *Manager) admit(ctx context.Context, req Request, sync bool) (*job, []Snapshot, error) {
 	if req.Run == nil {
-		return Snapshot{}, errors.New("jobs: nil job body")
+		return nil, nil, errors.New("jobs: nil job body")
 	}
 	deadline := req.Deadline
 	if m.cfg.MaxDeadline > 0 && (deadline <= 0 || deadline > m.cfg.MaxDeadline) {
@@ -250,17 +310,21 @@ func (m *Manager) Submit(req Request) (Snapshot, error) {
 	if m.draining {
 		m.mu.Unlock()
 		m.counters.rejected.Add(1)
-		return Snapshot{}, &AdmissionError{
+		return nil, nil, &AdmissionError{
 			Reason:     "shutting_down",
 			RetryAfter: time.Second,
 			msg:        "jobs: not accepting work: shutting down",
 		}
 	}
+	if _, ok := m.jobs[req.ID]; ok && req.ID != "" {
+		m.mu.Unlock()
+		return nil, nil, fmt.Errorf("%w %q", ErrDuplicate, req.ID)
+	}
 	if len(m.queue) >= m.cfg.maxQueue() {
 		ra := m.retryAfterLocked()
 		m.mu.Unlock()
 		m.counters.rejected.Add(1)
-		return Snapshot{}, &AdmissionError{
+		return nil, nil, &AdmissionError{
 			Reason:     "queue_full",
 			RetryAfter: ra,
 			msg:        fmt.Sprintf("jobs: queue full (%d queued)", m.cfg.maxQueue()),
@@ -275,7 +339,7 @@ func (m *Manager) Submit(req Request) (Snapshot, error) {
 		ra := m.retryAfterLocked()
 		m.mu.Unlock()
 		m.counters.rejected.Add(1)
-		return Snapshot{}, &AdmissionError{
+		return nil, nil, &AdmissionError{
 			Reason:     "client_limit",
 			RetryAfter: ra,
 			msg: fmt.Sprintf("jobs: client %q at its concurrency limit (%d jobs)",
@@ -286,7 +350,7 @@ func (m *Manager) Submit(req Request) (Snapshot, error) {
 		ra := m.retryAfterLocked()
 		m.mu.Unlock()
 		m.counters.rejected.Add(1)
-		return Snapshot{}, &AdmissionError{
+		return nil, nil, &AdmissionError{
 			Reason:     "client_budget",
 			RetryAfter: ra,
 			msg: fmt.Sprintf("jobs: client %q over its queued-instruction budget (%d + %d > %d)",
@@ -294,40 +358,57 @@ func (m *Manager) Submit(req Request) (Snapshot, error) {
 		}
 	}
 
+	id := req.ID
+	if id == "" {
+		id = newID()
+	}
 	m.seq++
 	j := &job{
 		seq:   m.seq,
 		run:   req.Run,
 		index: -1,
+		base:  context.WithoutCancel(ctx),
 		snap: Snapshot{
-			ID:           newID(),
+			ID:           id,
 			Kind:         req.Kind,
 			State:        StateQueued,
 			Client:       req.Client,
 			Priority:     req.Priority,
 			Instructions: req.Instructions,
 			SubmittedAt:  time.Now(),
+			sync:         sync,
 		},
+	}
+	if sync {
+		j.start = make(chan func(), 1)
+		_, j.wait = obs.StartSpan(ctx, "job_queue_wait")
 	}
 	if deadline > 0 {
 		j.snap.Deadline = j.snap.SubmittedAt.Add(deadline)
 		// Expire promptly even while queued; the timer is stopped when the
 		// job dispatches (the running context takes over) or terminates.
-		id := j.snap.ID
-		j.expiry = time.AfterFunc(deadline, func() { m.expireQueued(id) })
+		j.expiry = time.AfterFunc(deadline, func() { m.expireQueued(j) })
 	}
-	m.jobs[j.snap.ID] = j
+	m.jobs[id] = j
 	cs.active++
 	cs.queuedInstrs += req.Instructions
 	heap.Push(&m.queue, j)
 	m.counters.queued.Add(1)
-	snap := j.snap
 	// The queued snapshot leads the notification batch so observers see
 	// queued before running even when dispatch is immediate.
-	notify := append([]Snapshot{snap}, m.dispatchLocked()...)
+	queued := j.snap
+	notify := append([]Snapshot{queued}, m.dispatchLocked()...)
 	m.mu.Unlock()
-	m.notifyAll(notify)
-	return snap, nil
+	return j, notify, nil
+}
+
+// dequeueLocked takes a queued job off the queue and releases its client's
+// queued-instruction estimate.
+func (m *Manager) dequeueLocked(j *job) {
+	heap.Remove(&m.queue, j.index)
+	if cs := m.clients[j.snap.Client]; cs != nil {
+		cs.queuedInstrs -= j.snap.Instructions
+	}
 }
 
 // retryAfterLocked estimates how long until capacity frees: the queue's
@@ -353,7 +434,8 @@ func (m *Manager) retryAfterLocked() time.Duration {
 func (m *Manager) dispatchLocked() []Snapshot {
 	var started []Snapshot
 	for m.running < m.cfg.workers() && len(m.queue) > 0 {
-		j := heap.Pop(&m.queue).(*job)
+		j := m.queue[0]
+		m.dequeueLocked(j)
 		if j.expiry != nil {
 			j.expiry.Stop()
 			j.expiry = nil
@@ -366,15 +448,13 @@ func (m *Manager) dispatchLocked() []Snapshot {
 		}
 		j.snap.State = StateRunning
 		j.snap.StartedAt = now
+		j.wait.End()
 		m.running++
 		m.counters.dispatched.Add(1)
 		m.counters.running.Add(1)
-		if cs := m.clients[j.snap.Client]; cs != nil {
-			cs.queuedInstrs -= j.snap.Instructions
-		}
 		m.waitHist.observe(now.Sub(j.snap.SubmittedAt).Seconds())
 
-		ctx, cancel := context.WithCancelCause(context.Background())
+		ctx, cancel := context.WithCancelCause(j.base)
 		if !j.snap.Deadline.IsZero() {
 			var stop context.CancelFunc
 			ctx, stop = context.WithDeadlineCause(ctx, j.snap.Deadline, ErrExpired)
@@ -384,7 +464,11 @@ func (m *Manager) dispatchLocked() []Snapshot {
 		}
 		j.cancel = cancel
 		started = append(started, j.snap)
-		go m.runJob(j, ctx, cancel)
+		if j.start != nil {
+			j.start <- func() { m.runJob(j, ctx, cancel) }
+		} else {
+			go m.runJob(j, ctx, cancel)
+		}
 	}
 	return started
 }
@@ -454,6 +538,7 @@ func (m *Manager) finishLocked(j *job, state State, res any, err error) Snapshot
 	}
 	j.cancel = nil
 	j.run = nil
+	j.wait.End()
 	switch state {
 	case StateDone:
 		j.snap.Result = res
@@ -473,6 +558,12 @@ func (m *Manager) finishLocked(j *job, state State, res any, err error) Snapshot
 		if cs.active == 0 && cs.queuedInstrs == 0 {
 			delete(m.clients, j.snap.Client)
 		}
+	}
+	if j.start != nil {
+		// A Do job is not retained: its caller holds the outcome.
+		delete(m.jobs, j.snap.ID)
+		close(j.start)
+		return j.snap
 	}
 	m.done = append(m.done, j.snap.ID)
 	for len(m.done) > m.cfg.retention() {
@@ -497,23 +588,21 @@ func (m *Manager) notifyAll(snaps []Snapshot) {
 		return
 	}
 	for _, s := range snaps {
-		fn(s)
+		if !s.sync {
+			fn(s)
+		}
 	}
 }
 
 // expireQueued is the queued-deadline timer body: expire the job if it is
 // still waiting for a worker.
-func (m *Manager) expireQueued(id string) {
+func (m *Manager) expireQueued(j *job) {
 	m.mu.Lock()
-	j, ok := m.jobs[id]
-	if !ok || j.snap.State != StateQueued {
+	if j.snap.State != StateQueued {
 		m.mu.Unlock()
 		return
 	}
-	heap.Remove(&m.queue, j.index)
-	if cs := m.clients[j.snap.Client]; cs != nil {
-		cs.queuedInstrs -= j.snap.Instructions
-	}
+	m.dequeueLocked(j)
 	snap := m.finishLocked(j, StateExpired, nil, ErrExpired)
 	m.mu.Unlock()
 	m.notifyAll([]Snapshot{snap})
@@ -538,20 +627,23 @@ func (m *Manager) Get(id string) (Snapshot, error) {
 func (m *Manager) Cancel(id string) (Snapshot, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
+	m.mu.Unlock()
 	if !ok {
-		m.mu.Unlock()
 		return Snapshot{}, ErrNotFound
 	}
+	return m.cancel(j), nil
+}
+
+// cancel is Cancel on a job record.
+func (m *Manager) cancel(j *job) Snapshot {
+	m.mu.Lock()
 	switch j.snap.State {
 	case StateQueued:
-		heap.Remove(&m.queue, j.index)
-		if cs := m.clients[j.snap.Client]; cs != nil {
-			cs.queuedInstrs -= j.snap.Instructions
-		}
+		m.dequeueLocked(j)
 		snap := m.finishLocked(j, StateCancelled, nil, ErrCancelled)
 		m.mu.Unlock()
 		m.notifyAll([]Snapshot{snap})
-		return snap, nil
+		return snap
 	case StateRunning:
 		cancel := j.cancel
 		snap := j.snap
@@ -559,11 +651,11 @@ func (m *Manager) Cancel(id string) (Snapshot, error) {
 		if cancel != nil {
 			cancel(ErrCancelled)
 		}
-		return snap, nil
+		return snap
 	default:
 		snap := j.snap
 		m.mu.Unlock()
-		return snap, nil
+		return snap
 	}
 }
 
@@ -591,10 +683,8 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	m.draining = true
 	var notify []Snapshot
 	for len(m.queue) > 0 {
-		j := heap.Pop(&m.queue).(*job)
-		if cs := m.clients[j.snap.Client]; cs != nil {
-			cs.queuedInstrs -= j.snap.Instructions
-		}
+		j := m.queue[0]
+		m.dequeueLocked(j)
 		notify = append(notify, m.finishLocked(j, StateCancelled, nil, ErrShutdown))
 	}
 	var idle chan struct{}

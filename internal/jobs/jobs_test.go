@@ -537,3 +537,40 @@ func TestListNewestFirst(t *testing.T) {
 		}
 	}
 }
+
+// TestExpiredAtDispatchReleasesBudget: a job whose deadline passes while it
+// waits, and which dispatch (not its timer) then settles as expired, gives
+// its queued instructions back to its client's budget.
+func TestExpiredAtDispatchReleasesBudget(t *testing.T) {
+	m := NewManager(Config{Workers: 1, MaxPerClient: 8, MaxClientInstructions: 100})
+	block := make(chan struct{})
+	started := make(chan struct{})
+	running, err := m.Submit(Request{Client: "a", Run: func(ctx context.Context) (any, error) {
+		close(started)
+		<-block
+		return nil, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	queued, err := m.Submit(Request{Client: "a", Instructions: 100, Deadline: time.Millisecond,
+		Run: func(ctx context.Context) (any, error) { return nil, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Disarm the queued-deadline timer so the expiry is found at dispatch.
+	m.mu.Lock()
+	m.jobs[queued.ID].expiry.Stop()
+	m.mu.Unlock()
+	time.Sleep(5 * time.Millisecond)
+	close(block)
+	waitState(t, m, running.ID, StateDone)
+	waitState(t, m, queued.ID, StateExpired)
+
+	snap, err := m.Submit(Request{Client: "a", Instructions: 100, Run: func(ctx context.Context) (any, error) { return nil, nil }})
+	if err != nil {
+		t.Fatalf("budget still held by the expired job: %v", err)
+	}
+	waitState(t, m, snap.ID, StateDone)
+}
