@@ -374,7 +374,7 @@ func (s *server) handleSync(kind string) http.HandlerFunc {
 		}
 		// A Do job is not retained, so its result map is this response's.
 		resp := snap.Result.(map[string]any)
-		resp["engine"] = engineMetricsFrom(s.reg.Snapshot())
+		resp["engine"] = engineMetricsOf(s.eng.Stats())
 		s.attachTrace(r, resp)
 		writeJSON(w, http.StatusOK, resp)
 	}

@@ -6,15 +6,18 @@ package main
 // counters, Go runtime — plus the HTTP-level instruments defined here. That
 // registry is the single source of truth: GET /metrics is its Prometheus
 // exposition, GET /v1/metrics its JSON form, and the legacy JSON blocks on
-// /healthz, /v1/stats, and per-response "engine" sections are thin views
-// over one snapshot of it, so the surfaces cannot drift apart.
+// /healthz and /v1/stats are thin views over one snapshot of it, so the
+// surfaces cannot drift apart. A sync response's "engine" section reads the
+// same eight counters from engine.Stats, which the registry's engine series
+// are collected from, without paying for a whole snapshot per request.
 //
 // Every request passes through instrument: a request ID (inbound
 // X-Request-ID honored, generated otherwise) rides the context and the
 // response header, an obs trace roots the request's span tree, latency and
 // status-class counters are recorded per path, and the access log goes
 // through slog. Handlers return the span tree under a "trace" key when the
-// caller passes ?trace=1; otherwise it is logged at debug level.
+// caller passes ?trace=1; otherwise it is logged at debug level (and built
+// only when that level is enabled).
 
 import (
 	"log/slog"
@@ -22,6 +25,7 @@ import (
 	"strings"
 	"time"
 
+	"dricache/internal/engine"
 	"dricache/internal/obs"
 )
 
@@ -148,9 +152,9 @@ func (s *server) instrument(next http.Handler) http.Handler {
 			slog.Int("status", rec.status),
 			slog.Duration("duration", elapsed),
 		)
-		if r.URL.Query().Get("trace") != "1" {
+		if r.URL.Query().Get("trace") != "1" && s.log.Enabled(ctx, slog.LevelDebug) {
 			// The span tree was not returned to the caller; keep it
-			// reachable through the logs.
+			// reachable through the logs (built only when they keep it).
 			s.log.LogAttrs(ctx, slog.LevelDebug, "trace",
 				slog.String("requestId", reqID),
 				slog.Any("tree", root.Tree()),
@@ -202,6 +206,21 @@ func engineMetricsFrom(snap obs.Snapshot) engineMetrics {
 		Entries:     int(snap.Value("engine_cache_entries")),
 		InFlight:    int(snap.Value("engine_inflight")),
 		Parallelism: int(snap.Value("engine_workers")),
+	}
+}
+
+// engineMetricsOf is engineMetricsFrom read straight from the engine's
+// counters: a sync response carries it without a registry snapshot.
+func engineMetricsOf(st engine.Stats) engineMetrics {
+	return engineMetrics{
+		Hits:        st.Hits,
+		Misses:      st.Misses,
+		Deduped:     st.Deduped,
+		PersistHits: st.PersistHits,
+		HitRate:     st.HitRate(),
+		Entries:     st.Entries,
+		InFlight:    st.InFlight,
+		Parallelism: st.Parallelism,
 	}
 }
 

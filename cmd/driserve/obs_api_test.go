@@ -2,14 +2,20 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"dricache/internal/engine"
+	"dricache/internal/jobs"
 )
 
 // TestMain silences the access log: newServer logs every request through
@@ -17,6 +23,45 @@ import (
 func TestMain(m *testing.M) {
 	slog.SetDefault(slog.New(slog.NewTextHandler(io.Discard, nil)))
 	os.Exit(m.Run())
+}
+
+// TestDebugTraceTreeLogged: a request without ?trace=1 still leaves its
+// span tree in the log at debug level, and none at info level.
+func TestDebugTraceTreeLogged(t *testing.T) {
+	for _, level := range []slog.Level{slog.LevelDebug, slog.LevelInfo} {
+		var buf syncBuffer
+		s := buildServer(engine.New(0), 10_000_000, jobs.Config{}, nil)
+		s.log = slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: level}))
+		ts := httptest.NewServer(s.handler())
+		postJSON(t, ts.URL+"/v1/run", `{"benchmark":"applu","instructions":100000}`, http.StatusOK)
+		ts.Close()
+		logged := buf.String()
+		tree := strings.Contains(logged, "msg=trace") && strings.Contains(logged, "tree=")
+		if want := level == slog.LevelDebug; tree != want {
+			t.Fatalf("level %v: span tree logged = %v, want %v; log:\n%s", level, tree, want, logged)
+		}
+		if !strings.Contains(logged, "msg=request") {
+			t.Fatalf("level %v: no access-log record:\n%s", level, logged)
+		}
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe for the log's concurrent writers.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 var (

@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -21,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"dricache/internal/engine"
 	"dricache/internal/jobs"
 )
 
@@ -269,6 +271,55 @@ func TestSyncResponseShape(t *testing.T) {
 		if !slices.Equal(keys, tc.want) {
 			t.Errorf("%s keys = %v, want %v", tc.path, keys, tc.want)
 		}
+	}
+}
+
+// TestSyncEngineBlockMatchesSnapshot: a sync response's engine block reads
+// engine.Stats directly, and after a mix of misses, hits and in-flight
+// joins it carries exactly the values the registry snapshot's engine series
+// give (engineMetricsFrom, which /healthz and /v1/stats still serve).
+func TestSyncEngineBlockMatchesSnapshot(t *testing.T) {
+	s := buildServer(engine.New(0), 10_000_000, jobs.Config{}, nil)
+	ts := httptest.NewServer(s.handler())
+	t.Cleanup(ts.Close)
+	point := func(mb int) string {
+		return fmt.Sprintf(`{"benchmark":"gcc","instructions":300000,"cache":{"dri":{"missBound":%d,"sizeBoundBytes":1024}}}`, mb)
+	}
+	postJSON(t, ts.URL+"/v1/run", point(100), http.StatusOK) // miss
+	postJSON(t, ts.URL+"/v1/run", point(100), http.StatusOK) // hit
+	// Identical never-seen points at once: one runs, the rest join it.
+	for mb := 200; s.eng.Stats().Deduped == 0; mb++ {
+		if mb == 220 {
+			t.Fatal("no concurrent request joined an in-flight simulation")
+		}
+		var wg sync.WaitGroup
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				postJSON(t, ts.URL+"/v1/compare", point(mb), http.StatusOK)
+			}()
+		}
+		wg.Wait()
+	}
+	out := postJSON(t, ts.URL+"/v1/run", point(100), http.StatusOK)
+	raw, err := json.Marshal(out["engine"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got engineMetrics
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	want := engineMetricsFrom(s.reg.Snapshot())
+	if got != want {
+		t.Fatalf("response engine block = %+v, snapshot gives %+v", got, want)
+	}
+	if direct := engineMetricsOf(s.eng.Stats()); direct != want {
+		t.Fatalf("engineMetricsOf = %+v, snapshot gives %+v", direct, want)
+	}
+	if got.Hits == 0 || got.Misses == 0 || got.Deduped == 0 {
+		t.Fatalf("engine block %+v lacks a hit, a miss or a join", got)
 	}
 }
 

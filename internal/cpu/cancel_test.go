@@ -68,7 +68,7 @@ func TestRunCtxAbortsMidRun(t *testing.T) {
 		p := New(DefaultConfig(), h, h, bpred.New(bpred.DefaultConfig()), h)
 		cur := rep.Cursor()
 		cc := &cancellingStream{s: &cur, after: cancelAt, cancel: cancel}
-		out, err := runLanes(ctx, isa.Chunked(cc), []*Pipeline{p}, ahead)
+		out, _, err := runLanes(ctx, isa.Chunked(cc), []*Pipeline{p}, ahead)
 		cancel()
 		if err == nil {
 			t.Fatalf("ahead=%v: mid-run cancellation returned nil error", ahead)
@@ -121,7 +121,7 @@ func TestRunLanesCtxAborts(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cur := rep.Cursor()
-	out, err := RunLanesCtx(ctx, &cur, pipes)
+	out, _, err := RunLanesCtx(ctx, &cur, pipes)
 	if err == nil {
 		t.Fatal("cancelled RunLanesCtx returned nil error")
 	}

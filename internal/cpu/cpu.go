@@ -148,16 +148,27 @@ type Pipeline struct {
 	cfg Config
 	h   *mem.Hierarchy
 	bp  *bpred.Predictor
-	// rec, when non-nil, is the interval flight recorder sampled by the
+	// recs, when non-nil, are the interval flight recorders sampled by the
 	// lane executor (see lane.recSample) on every run, replayed or
-	// generated.
-	rec *timeline.Recorder
+	// generated, indexed by class member ID.
+	recs []*timeline.Recorder
 }
 
-// SetTimeline attaches an interval flight recorder to the pipeline's lane,
-// solo or in RunLanes. A nil recorder — the default — costs nothing: the
-// only residue is one nil check per decoded chunk.
-func (p *Pipeline) SetTimeline(rec *timeline.Recorder) { p.rec = rec }
+// SetTimeline attaches interval flight recorders to the pipeline's lane,
+// solo or in RunLanes: recs[id] records the hierarchy's class member
+// labelled id (mem.Hierarchy.SetClass), and a hierarchy that is not a
+// class has the one member 0. Nil recorders — the default — cost nothing:
+// the only residue is one nil check per decoded chunk. Every recorder of
+// one class must sample at the same interval.
+func (p *Pipeline) SetTimeline(recs ...*timeline.Recorder) {
+	p.recs = nil
+	for _, r := range recs {
+		if r != nil {
+			p.recs = recs
+			return
+		}
+	}
+}
 
 // New builds a pipeline over one memory hierarchy, passed once for each
 // role it plays: instruction fetch, data access and instruction-progress
@@ -230,6 +241,6 @@ func (p *Pipeline) Run(stream isa.Stream) Result {
 // returned together with an error wrapping ErrAborted and the context's
 // cause; callers must discard the Result as unfinished.
 func (p *Pipeline) RunCtx(ctx context.Context, stream isa.Stream) (Result, error) {
-	out, err := RunLanesCtx(ctx, isa.Chunked(stream), []*Pipeline{p})
+	out, _, err := RunLanesCtx(ctx, isa.Chunked(stream), []*Pipeline{p})
 	return out[0], err
 }

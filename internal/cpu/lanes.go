@@ -17,6 +17,16 @@
 // a solo run pays only for the stage advance; with one P both stages run in
 // turn on the caller's goroutine a chunk at a time (a second goroutine
 // would only add handoffs).
+//
+// A lane steps a lane class: its hierarchy's L1 i-cache may carry several
+// members (mem.Hierarchy.SetClass) — configurations that differ only in
+// their DRI miss-bound and size-bound, whose controllers have decided alike
+// so far and so share every cache, pipeline and cycle count. At the
+// sense-interval boundary where their rules disagree, the hierarchy reports
+// a split, the lane stops after that instruction, and the executor forks
+// it: each further partition of members continues on a copy of the lane
+// (rings, scoreboard, cursors and hierarchy) from the same point of the
+// same chunk.
 package cpu
 
 import (
@@ -172,27 +182,39 @@ type lane struct {
 	memo     *dri.Cache
 	memoHits uint64
 
-	// rec, when non-nil, is the interval flight recorder: every time count
-	// crosses recNext the lane snapshots its hierarchy. Disabled-recorder
-	// overhead is one nil check per chunk, outside the per-instruction
-	// stage advance.
-	rec     *timeline.Recorder
+	// recs, when non-nil, are the interval flight recorders, indexed by
+	// the ID of the class member each records: every time count crosses
+	// recNext the lane snapshots its hierarchy into the recorder of every
+	// member it holds. Disabled-recorder overhead is one nil check per
+	// chunk, outside the per-instruction stage advance.
+	recs    []*timeline.Recorder
 	recNext uint64
+
+	// from is where a lane forked in mid-chunk resumes that chunk.
+	from int
 
 	res Result
 }
 
 // newLane builds the per-run state for one configuration over its own
 // hierarchy, drawing the stage rings from the shared pool.
-func newLane(cfg Config, h *mem.Hierarchy, bp *bpred.Predictor, group, dgroup int, rec *timeline.Recorder) *lane {
+func newLane(cfg Config, h *mem.Hierarchy, bp *bpred.Predictor, group, dgroup int, recs []*timeline.Recorder) *lane {
 	rs := getRings(&cfg)
 	var memo *dri.Cache
 	if ic := h.ICache(); ic.WayMemoEnabled() {
 		memo = ic
 	}
+	// The lane samples at its members' interval; a lane none of whose
+	// members has a recorder samples nothing.
 	var recNext uint64
-	if rec != nil {
-		recNext = rec.Interval()
+	for _, m := range h.ICache().Members() {
+		if m.ID < len(recs) && recs[m.ID] != nil {
+			recNext = recs[m.ID].Interval()
+			break
+		}
+	}
+	if recNext == 0 {
+		recs = nil
 	}
 	return &lane{
 		cfg:          cfg,
@@ -211,24 +233,73 @@ func newLane(cfg Config, h *mem.Hierarchy, bp *bpred.Predictor, group, dgroup in
 		curBlock:     ^uint64(0),
 		blockMask:    uint64(1)<<cfg.BlockShift - 1,
 		memo:         memo,
-		rec:          rec,
+		recs:         recs,
 		recNext:      recNext,
 	}
 }
 
-// stepChunk advances the lane by one decoded chunk; outs holds the chunk's
-// prediction outcomes for the lane's predictor group (predictChunk over the
-// same buf) and douts its L1D outcomes for the lane's L1D group
-// (l1dGroup.walk over the same buf), whose misses the lane charges to its
-// own L2 and memory through mem.Hierarchy.L1DMiss. Per-instruction, e.Seq
+// clone returns a copy of the lane at its current point over a copy of its
+// hierarchy (mem.Hierarchy.CopyFrom). The copy keeps the lane's predictor
+// group, L1D group and recorders.
+func (ln *lane) clone() *lane {
+	c := *ln
+	c.rs = getRings(&c.cfg)
+	c.fetchRing, c.dispatchRing, c.commitRing = c.rs.fetch, c.rs.dispatch, c.rs.commit
+	c.portAvail, c.robRing, c.lsqRing = c.rs.port, c.rs.rob, c.rs.lsq
+	copy(c.fetchRing, ln.fetchRing)
+	copy(c.dispatchRing, ln.dispatchRing)
+	copy(c.commitRing, ln.commitRing)
+	copy(c.portAvail, ln.portAvail)
+	copy(c.robRing, ln.robRing)
+	copy(c.lsqRing, ln.lsqRing)
+	c.h = mem.Acquire(ln.h.Config())
+	c.h.CopyFrom(ln.h)
+	if c.memo != nil {
+		c.memo = c.h.ICache()
+	}
+	return &c
+}
+
+// fork resolves the split the lane's hierarchy reports: the lane keeps the
+// first partition of its class and each further partition continues on a
+// clone. A partition whose resumed interval accounting splits again forks
+// in turn. It returns the clones.
+func (ln *lane) fork() []*lane {
+	var forks []*lane
+	for pending := []*lane{ln}; len(pending) > 0; {
+		l := pending[len(pending)-1]
+		pending = pending[:len(pending)-1]
+		for k := 1; k < l.h.ICache().Partitions(); k++ {
+			c := l.clone()
+			forks = append(forks, c)
+			if c.h.ICache().TakePartition(k) {
+				pending = append(pending, c)
+			}
+		}
+		if l.h.ICache().TakePartition(0) {
+			pending = append(pending, l)
+		}
+	}
+	return forks
+}
+
+// stepChunk advances the lane over a decoded chunk from instruction from;
+// outs holds the chunk's prediction outcomes for the lane's predictor group
+// (predictChunk over the same buf) and douts its L1D outcomes for the lane's
+// L1D group (l1dGroup.walk over the same buf), whose misses the lane
+// charges to its own L2 and memory through mem.Hierarchy.L1DMiss.
+// Per-instruction, e.Seq
 // is the chunk source's PC-sequentiality signal (isa.DecodedInstr.Seq);
 // when the PC is additionally not block-aligned, the instruction provably
 // shares the previous instruction's fetch block, so the block compare (and
 // any i-cache traffic) is skipped without consulting curBlock. A
 // constant-false Seq is always correct — it is purely an accelerator. The
 // lane's timing state is staged into locals for the whole chunk, so the
-// per-instruction stage advance runs register-to-register.
-func (ln *lane) stepChunk(buf []isa.DecodedInstr, outs *[laneChunk]predOut, douts *[laneChunk]uint64) {
+// per-instruction stage advance runs register-to-register. When a tick
+// batch's hierarchy Advance reports a split of the lane's class, the lane
+// stops after that instruction and stepChunk returns its offset with split
+// set; the caller forks the lane (fork) and steps on from there.
+func (ln *lane) stepChunk(buf []isa.DecodedInstr, outs *[laneChunk]predOut, douts *[laneChunk]uint64, from int) (at int, split bool) {
 	cfg := &ln.cfg
 	var (
 		ft        = ln.ft
@@ -237,7 +308,8 @@ func (ln *lane) stepChunk(buf []isa.DecodedInstr, outs *[laneChunk]predOut, dout
 		curBlock  = ln.curBlock
 		blockMask = ln.blockMask
 	)
-	for k := range buf {
+	at = len(buf)
+	for k := uint(from); k < uint(len(buf)); k++ {
 		e := &buf[k]
 
 		// ---- Fetch ----
@@ -372,30 +444,36 @@ func (ln *lane) stepChunk(buf []isa.DecodedInstr, outs *[laneChunk]predOut, dout
 		}
 		ln.tickAccum++
 		if ln.tickAccum >= cfg.TickBatch {
-			ln.h.Advance(ln.tickAccum, f)
+			n := ln.tickAccum
 			ln.tickAccum = 0
+			if ln.h.Advance(n, f) {
+				at, split = int(k)+1, true
+				break
+			}
 		}
 	}
 	ln.ft = ft
 	ln.cmt = cmt
 	ln.redirect = redirect
 	ln.curBlock = curBlock
-	ln.count += uint64(len(buf))
-	if ln.rec != nil && ln.count >= ln.recNext {
-		ln.recSample()
+	ln.count += uint64(at - from)
+	if !split && ln.recs != nil && ln.count >= ln.recNext {
+		iv := ln.recSample()
 		for ln.recNext <= ln.count {
-			ln.recNext += ln.rec.Interval()
+			ln.recNext += iv
 		}
 	}
+	return at, split
 }
 
-// recSample snapshots the lane's hierarchy into the flight recorder. The
-// hierarchy fills the cache/policy fields; the lane overlays its own
-// cursors plus any memo hits not yet flushed into the cache statistics
-// (AddMemoHits counts each hit as an access too, so pending hits are added
-// to both fields — the sampled totals match the end-of-run accounting
-// exactly).
-func (ln *lane) recSample() {
+// recSample snapshots the lane's hierarchy into the flight recorder of
+// every class member the lane holds, and returns their sampling interval
+// (one for the whole class: members differ only in bounds). The hierarchy
+// fills the cache/policy fields; the lane overlays its own cursors plus any
+// memo hits not yet flushed into the cache statistics (AddMemoHits counts
+// each hit as an access too, so pending hits are added to both fields —
+// the sampled totals match the end-of-run accounting exactly).
+func (ln *lane) recSample() uint64 {
 	var s timeline.Sample
 	ln.h.TimelineSnapshot(&s)
 	s.Instructions = ln.count
@@ -404,20 +482,39 @@ func (ln *lane) recSample() {
 		s.L1IAccesses += ln.memoHits
 		s.MemoHits += ln.memoHits
 	}
-	ln.rec.Record(s)
+	var iv uint64
+	for _, m := range ln.h.ICache().Members() {
+		if r := ln.recs[m.ID]; r != nil {
+			r.Record(s)
+			iv = r.Interval()
+		}
+	}
+	return iv
 }
 
-// finish flushes the trailing tick batch, assembles the Result, and returns
-// the lane's rings to the pool. The lane must not be stepped afterwards.
-func (ln *lane) finish() Result {
+// flush settles the lane at the end of the stream: pending memo hits go to
+// the cache statistics and the trailing tick batch to the hierarchy. A
+// trailing batch that ends a sense interval can split the lane's class like
+// any other; flush then returns the forks, which have nothing left to
+// flush.
+func (ln *lane) flush() []*lane {
 	if ln.memo != nil && ln.memoHits > 0 {
 		ln.memo.AddMemoHits(ln.memoHits)
 		ln.memoHits = 0
 	}
-	if ln.tickAccum > 0 {
-		ln.h.Advance(ln.tickAccum, ln.ft)
+	if n := ln.tickAccum; n > 0 {
+		ln.tickAccum = 0
+		if ln.h.Advance(n, ln.ft) {
+			return ln.fork()
+		}
 	}
-	if ln.rec != nil {
+	return nil
+}
+
+// finish assembles the Result and returns the lane's rings to the pool.
+// The lane must not be stepped afterwards.
+func (ln *lane) finish() Result {
+	if ln.recs != nil {
 		// Final flush after the trailing tick: the recorder folds a sample
 		// at an already-recorded boundary into its last point, so the
 		// series always re-aggregates exactly to the end-of-run counters.
@@ -433,7 +530,8 @@ func (ln *lane) finish() Result {
 
 // RunLanes consumes the chunk source once — a replay cursor, a generator
 // stream, or any isa.Chunked stream — and advances one lane per pipeline in
-// lock-step, returning the per-lane results in input order.
+// lock-step, returning the per-lane results: one per pipeline in input
+// order, then one per lane forked from a lane class (see RunLanesCtx).
 // Each lane owns its pipeline timing state and memory hierarchy, so every
 // result is bit-identical to running that pipeline alone over the same
 // stream; the lanes share only the immutable decoded instruction values.
@@ -451,29 +549,38 @@ func (ln *lane) finish() Result {
 // only a group leader's DCache holds state; the other lanes' L1Ds are left
 // untouched, and nothing in a lane's Result or mem.Stats reads them.
 func RunLanes(src isa.ChunkSource, pipes []*Pipeline) []Result {
-	out, _ := RunLanesCtx(context.Background(), src, pipes)
+	out, _, _ := RunLanesCtx(context.Background(), src, pipes)
 	return out
 }
 
-// RunLanesCtx is RunLanes under a context. Cancellation is checked before
-// the stream stage starts, before each chunk's decode — so an abort never
-// pays for another decode — and after the lanes step each chunk; a
-// non-cancellable context costs nothing. The stream stage reads at most
-// one ring of chunks ahead of the lanes, so a cancellation that the source
-// itself triggers may stop the lanes short of it. On cancellation the
-// stream stage is stopped, every lane is finished (partial results, rings
-// returned to the pool) and the error wraps ErrAborted with the context's
-// cause; the partial results must be discarded. A panic in the chunk
+// RunLanesCtx is RunLanes under a context, returning with each Result the
+// hierarchy its lane ran on. A pipeline whose hierarchy carries a lane
+// class (mem.Hierarchy.SetClass) steps the whole class as one lane until
+// its members' decisions diverge; each fork then runs on as its own lane
+// over a copy of the hierarchy drawn from mem.Acquire, and its Result and
+// hierarchy follow the pipelines' in fork order. Each lane's members are
+// its hierarchy's ICache().Members(). A pass over hierarchies of one member
+// never forks.
+//
+// Cancellation is checked before the stream stage starts, before each
+// chunk's decode — so an abort never pays for another decode — and after
+// the lanes step each chunk; a non-cancellable context costs nothing. The
+// stream stage reads at most one ring of chunks ahead of the lanes, so a
+// cancellation that the source itself triggers may stop the lanes short of
+// it. On cancellation the stream stage is stopped, every lane is finished
+// (partial results, rings returned to the pool) and the error wraps
+// ErrAborted with the context's cause; the partial results must be
+// discarded, and the hierarchies are still returned. A panic in the chunk
 // source or a predictor is re-raised on the caller's goroutine.
-func RunLanesCtx(ctx context.Context, src isa.ChunkSource, pipes []*Pipeline) ([]Result, error) {
+func RunLanesCtx(ctx context.Context, src isa.ChunkSource, pipes []*Pipeline) ([]Result, []*mem.Hierarchy, error) {
 	return runLanes(ctx, src, pipes, runtime.GOMAXPROCS(0) > 1)
 }
 
 // runLanes is RunLanesCtx with the stream stage on its own goroutine when
 // ahead is set and on the caller's otherwise; the results are identical.
-func runLanes(ctx context.Context, src isa.ChunkSource, pipes []*Pipeline, ahead bool) ([]Result, error) {
+func runLanes(ctx context.Context, src isa.ChunkSource, pipes []*Pipeline, ahead bool) ([]Result, []*mem.Hierarchy, error) {
 	if len(pipes) == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	lanes := make([]*lane, len(pipes))
 	var groups []*bpred.Predictor
@@ -496,7 +603,7 @@ func runLanes(ctx context.Context, src isa.ChunkSource, pipes []*Pipeline, ahead
 			byL1D[dc.Config()] = dg
 			dgroups = append(dgroups, l1dGroup{dc: dc, shift: uint(bits.TrailingZeros(uint(dc.Config().BlockBytes)))})
 		}
-		lanes[i] = newLane(p.cfg, p.h, groups[g], g, dg, p.rec)
+		lanes[i] = newLane(p.cfg, p.h, groups[g], g, dg, p.recs)
 	}
 	done := ctx.Done()
 	aborted := func() bool {
@@ -510,30 +617,48 @@ func runLanes(ctx context.Context, src isa.ChunkSource, pipes []*Pipeline, ahead
 			return false
 		}
 	}
-	ended := !aborted() && stepLanes(lanes, startStream(src, groups, dgroups, done, ahead), aborted)
+	ended := !aborted() && stepLanes(&lanes, startStream(src, groups, dgroups, done, ahead), aborted)
+	if ended {
+		for i := 0; i < len(lanes); i++ {
+			lanes = append(lanes, lanes[i].flush()...)
+		}
+	}
 	out := make([]Result, len(lanes))
+	hs := make([]*mem.Hierarchy, len(lanes))
 	for i, ln := range lanes {
 		out[i] = ln.finish()
+		hs[i] = ln.h
 	}
 	if !ended {
-		return out, abortErr(ctx, out[0].Instructions)
+		return out, hs, abortErr(ctx, out[0].Instructions)
 	}
-	return out, nil
+	return out, hs, nil
 }
 
 // stepLanes is the lane stage: it steps every lane over each chunk of the
 // slots the stream stage fills until the stream ends (true) or aborted
-// reports a cancellation (false). The stream stage has exited when
-// stepLanes returns, by a panic too, so the predictors are quiescent for
-// finish.
-func stepLanes(lanes []*lane, st *stream, aborted func() bool) bool {
+// reports a cancellation (false). A lane that splits forks in place: its
+// forks join *lanes and step the rest of the chunk after the lanes before
+// them. The stream stage has exited when stepLanes returns, by a panic
+// too, so the predictors are quiescent for finish.
+func stepLanes(lanes *[]*lane, st *stream, aborted func() bool) bool {
 	defer st.stop()
 	for {
 		s := st.next()
 		for j := range s.n {
 			buf := s.buf[j][:s.lens[j]]
-			for _, ln := range lanes {
-				ln.stepChunk(buf, &s.outs[ln.group][j], &s.douts[ln.dgroup][j])
+			for i := 0; i < len(*lanes); i++ {
+				ln := (*lanes)[i]
+				outs, douts := &s.outs[ln.group][j], &s.douts[ln.dgroup][j]
+				at, split := ln.stepChunk(buf, outs, douts, ln.from)
+				for split {
+					for _, f := range ln.fork() {
+						f.from = at
+						*lanes = append(*lanes, f)
+					}
+					at, split = ln.stepChunk(buf, outs, douts, at)
+				}
+				ln.from = 0
 			}
 			if aborted() {
 				return false

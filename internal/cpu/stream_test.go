@@ -68,7 +68,7 @@ func runStages(src isa.ChunkSource, lanes, variant int, ahead bool) stageOutcome
 		ls[i] = newStageLane(variant + i)
 		pipes[i] = ls[i].p
 	}
-	res, err := runLanes(context.Background(), src, pipes, ahead)
+	res, _, err := runLanes(context.Background(), src, pipes, ahead)
 	if err != nil {
 		panic(err)
 	}
@@ -201,7 +201,7 @@ func TestRunLanesStreamStageExits(t *testing.T) {
 		before := runtime.NumGoroutine()
 		func() {
 			defer func() { _ = recover() }()
-			if _, err := runLanes(ctx, slow, []*Pipeline{p}, true); c.abort && err == nil {
+			if _, _, err := runLanes(ctx, slow, []*Pipeline{p}, true); c.abort && err == nil {
 				t.Errorf("%s: pass was not aborted", c.name)
 			}
 		}()
@@ -313,7 +313,7 @@ func TestRunLanesL1DGroups(t *testing.T) {
 			solo := make([]l1dLaneOutcome, len(l1dOrder))
 			for i := range solo {
 				l := newL1DGroupLane(i)
-				res, err := runLanes(context.Background(), src.open(), []*Pipeline{l.p}, ahead)
+				res, _, err := runLanes(context.Background(), src.open(), []*Pipeline{l.p}, ahead)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -325,7 +325,7 @@ func TestRunLanesL1DGroups(t *testing.T) {
 				ls[i] = newL1DGroupLane(i)
 				pipes[i] = ls[i].p
 			}
-			res, err := runLanes(context.Background(), src.open(), pipes, ahead)
+			res, _, err := runLanes(context.Background(), src.open(), pipes, ahead)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -372,7 +372,7 @@ func TestTimelineSamplesAtChunkBoundary(t *testing.T) {
 		rec := timeline.NewRecorder(timeline.Config{Enabled: true, IntervalInstructions: interval}, 0, timeline.EnergyRates{})
 		p.SetTimeline(rec)
 		cur := rep.Cursor()
-		if _, err := runLanes(context.Background(), &cur, []*Pipeline{p}, ahead); err != nil {
+		if _, _, err := runLanes(context.Background(), &cur, []*Pipeline{p}, ahead); err != nil {
 			t.Fatal(err)
 		}
 		pts := rec.Series().Points

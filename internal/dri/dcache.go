@@ -79,6 +79,15 @@ func (d *DataCache) Reset() {
 	d.dstats = DataStats{}
 }
 
+// CopyFrom makes d a deep copy of src, which must have the same
+// configuration (Cache.CopyFrom), dirty bits and write statistics included.
+// d keeps its own writeback handler.
+func (d *DataCache) CopyFrom(src *DataCache) {
+	d.Cache.CopyFrom(&src.Cache)
+	copy(d.dirty, src.dirty)
+	d.dstats = src.dstats
+}
+
 // SetWritebackHandler registers a sink for writeback traffic (e.g. the L2).
 func (d *DataCache) SetWritebackHandler(h func(block uint64, cause WritebackCause)) {
 	d.onWriteback = h

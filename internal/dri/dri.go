@@ -20,7 +20,9 @@ package dri
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 )
 
 // Params are the DRI adaptive-mechanism parameters (§2.1 of the paper).
@@ -237,20 +239,89 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
+// Member is one configuration of a cache's lane class (SetClass): the
+// configurations whose controllers have taken the same decisions so far,
+// and so share one cache state. A member keeps what its rule reads that the
+// others may not share — its miss-bound and its floor — and the counters
+// that can differ without any state difference: a downsize suppressed at
+// the member's floor or by the throttle leaves the cache as a plain hold
+// does. A cache that is not a class has one member, labelled 0.
+type Member struct {
+	// ID is the label the member was given (SetClass).
+	ID int
+	// MissBound is the member's miss-bound (unused under
+	// AutoMissBoundFactor, which sets one bound for every member).
+	MissBound uint64
+	// minSets and minWays are the member's floor: the active sets (set
+	// mode) or ways (way mode) at its size-bound.
+	minSets, minWays int
+	// SizeBoundHits and BlockedDownsizes are the member's Stats fields of
+	// the same names.
+	SizeBoundHits    uint64
+	BlockedDownsizes uint64
+}
+
+func memberOf(id int, cfg Config) Member {
+	return Member{ID: id, MissBound: cfg.Params.MissBound, minSets: cfg.MinSets(), minWays: cfg.MinWays()}
+}
+
+// boundless is cfg without the per-member fields of its Params: two
+// configurations with equal boundless forms can share one lane class.
+func boundless(cfg Config) Config {
+	cfg.Params.MissBound = 0
+	cfg.Params.SizeBoundBytes = 0
+	return cfg
+}
+
+// verdict is one member's rule outcome at a sense-interval boundary. Only
+// its action — hold, upsize or downsize — moves the controller; the two
+// suppressed downsizes are holds that bump one of the member's counters.
+type verdict uint8
+
+const (
+	hold verdict = iota
+	floorHold
+	throttleHold
+	upsize
+	downsize
+)
+
+// action is the next controller state the verdict leads to.
+func (v verdict) action() verdict {
+	if v < upsize {
+		return hold
+	}
+	return v
+}
+
+// partition is one group of a pending split: the members whose rules lead
+// to the same next state, and that state.
+type partition struct {
+	members []Member
+	act     verdict
+}
+
 // Cache is a DRI i-cache (or, with Params.Enabled=false, a conventional
 // i-cache measured through the same interface). It is not safe for
 // concurrent use.
 type Cache struct {
 	cfg       Config
 	totalSets int
-	minSets   int
 	assoc     int
 	offBits   uint
 
 	activeSets int
 	activeWays int
-	minWays    int
 	indexMask  uint64
+
+	// members is the lane class the cache simulates (at least one; see
+	// Member). parts is a pending split (Partitions, TakePartition), and
+	// splitMisses and splitNow the interval miss count and cycle of the
+	// boundary that split.
+	members     []Member
+	parts       []partition
+	splitMisses uint64
+	splitNow    uint64
 
 	tags    []uint64
 	valid   []bool
@@ -325,8 +396,7 @@ func New(cfg Config) *Cache {
 	c := &Cache{
 		cfg:           cfg,
 		totalSets:     sets,
-		minSets:       cfg.MinSets(),
-		minWays:       cfg.MinWays(),
+		members:       []Member{memberOf(0, cfg)},
 		assoc:         cfg.Assoc,
 		offBits:       offsetBits(cfg.BlockBytes),
 		activeSets:    sets,
@@ -382,6 +452,8 @@ func (c *Cache) Reset() {
 	clear(c.sizeResidency)
 	c.stats = Stats{}
 	c.events = nil
+	c.members = append(c.members[:0], memberOf(0, c.cfg))
+	c.parts = nil
 	c.policyGate = false
 	// A recycled hierarchy must not leak memoization state across runs:
 	// stale links into the fresh (invalid) frames would turn into
@@ -471,8 +543,81 @@ func (c *Cache) ActiveFractionNow() float64 {
 	return float64(c.activeSets*c.activeWays) / float64(c.totalSets*c.assoc)
 }
 
-// Stats returns a copy of the statistics.
-func (c *Cache) Stats() Stats { return c.stats }
+// Stats returns a copy of the statistics, as the first member sees them.
+func (c *Cache) Stats() Stats { return c.MemberStats(0) }
+
+// MemberStats returns a copy of the statistics as member j of Members sees
+// them: the shared counters plus the member's own.
+func (c *Cache) MemberStats(j int) Stats {
+	s := c.stats
+	m := &c.members[j]
+	s.SizeBoundHits, s.BlockedDownsizes = m.SizeBoundHits, m.BlockedDownsizes
+	return s
+}
+
+// Members returns the cache's lane class (shared slice; callers must not
+// modify).
+func (c *Cache) Members() []Member { return c.members }
+
+// SetClass makes the cache a lane class of one member per configuration in
+// cfgs, cfgs[j] labelled ids[j]. Every configuration must be valid and
+// equal the cache's own except for Params.MissBound and
+// Params.SizeBoundBytes; SetClass panics otherwise. Call it before the
+// cache is used: each member then behaves exactly as a cache of its own
+// configuration would, until a split (Advance) separates the members whose
+// decisions differ.
+func (c *Cache) SetClass(cfgs []Config, ids []int) {
+	if len(cfgs) == 0 || len(ids) != len(cfgs) {
+		panic("dri: SetClass needs one id per configuration, and at least one")
+	}
+	c.members = c.members[:0]
+	for j, m := range cfgs {
+		if err := m.Check(); err != nil {
+			panic(err)
+		}
+		if boundless(m) != boundless(c.cfg) {
+			panic("dri: SetClass member differs from the cache beyond its miss-bound and size-bound")
+		}
+		c.members = append(c.members, memberOf(ids[j], m))
+	}
+}
+
+// CopyFrom makes c a deep copy of src, which must have the same
+// configuration: frames, link registers, interval and throttle state, the
+// active-size account, statistics, the event log (copied, never aliased),
+// the lane class and any pending split. c keeps its own hooks, so they stay
+// wired to whatever c was built with.
+func (c *Cache) CopyFrom(src *Cache) {
+	if c.cfg != src.cfg {
+		panic("dri: CopyFrom between caches of different configurations")
+	}
+	tags, valid, lastUse := c.tags, c.valid, c.lastUse
+	memoBlock, memoFrame := c.memoBlock, c.memoFrame
+	residency, members := c.sizeResidency, c.members
+	onInvalidate, onAccess := c.onInvalidate, c.onAccess
+	*c = *src
+	c.tags, c.valid, c.lastUse = tags, valid, lastUse
+	copy(c.tags, src.tags)
+	copy(c.valid, src.valid)
+	copy(c.lastUse, src.lastUse)
+	c.memoBlock, c.memoFrame = memoBlock, memoFrame
+	copy(c.memoBlock, src.memoBlock)
+	copy(c.memoFrame, src.memoFrame)
+	if src.lastResize != nil {
+		last := *src.lastResize
+		c.lastResize = &last
+	}
+	c.sizeResidency = residency
+	clear(c.sizeResidency)
+	maps.Copy(c.sizeResidency, src.sizeResidency)
+	c.events = slices.Clone(src.events)
+	c.members = append(members[:0], src.members...)
+	c.parts = make([]partition, len(src.parts))
+	for i, p := range src.parts {
+		c.parts[i] = partition{members: slices.Clone(p.members), act: p.act}
+	}
+	c.onInvalidate, c.onAccess = onInvalidate, onAccess
+}
 
 // Events returns the resize log (shared slice; callers must not modify).
 func (c *Cache) Events() []ResizeEvent { return c.events }
@@ -603,20 +748,52 @@ func (c *Cache) Probe(block uint64) bool {
 // interval machinery. The simulator calls it in batches (it need not be
 // once per instruction); the cache fires the end-of-interval decision each
 // time the accumulated instruction count crosses the sense-interval length.
-func (c *Cache) Advance(instrs, nowCycles uint64) {
+// It reports a split: an interval boundary where the members' rules lead to
+// different next states. The cache then stops at that boundary with none
+// applied, and the caller resolves it with TakePartition on this cache and
+// on copies of it (CopyFrom), one per partition.
+func (c *Cache) Advance(instrs, nowCycles uint64) bool {
 	if !c.cfg.Params.Enabled {
-		return
+		return false
 	}
 	c.intervalInstrs += instrs
-	for c.intervalInstrs >= c.cfg.Params.SenseInterval {
-		c.intervalInstrs -= c.cfg.Params.SenseInterval
-		c.endInterval(nowCycles)
-	}
+	return c.drain(nowCycles)
 }
 
-// endInterval applies the paper's decision rule (Figure 1): compare the
-// interval's miss count against the miss-bound and resize.
-func (c *Cache) endInterval(nowCycles uint64) {
+// drain ends every sense interval the accumulated instruction count
+// covers, stopping at a split.
+func (c *Cache) drain(nowCycles uint64) bool {
+	for c.intervalInstrs >= c.cfg.Params.SenseInterval {
+		c.intervalInstrs -= c.cfg.Params.SenseInterval
+		if c.endInterval(nowCycles) {
+			return true
+		}
+	}
+	return false
+}
+
+// Partitions returns the number of partitions of a pending split (0 when
+// none is pending).
+func (c *Cache) Partitions() int { return len(c.parts) }
+
+// TakePartition resolves a pending split for this cache: it keeps partition
+// k's members only, applies their next state, and resumes the interval
+// accounting of the Advance call that split. Like Advance, it reports
+// whether that accounting split again.
+func (c *Cache) TakePartition(k int) bool {
+	p := c.parts[k]
+	c.parts = nil
+	c.members = p.members
+	c.apply(p.act, c.splitMisses, c.splitNow)
+	return c.drain(c.splitNow)
+}
+
+// endInterval ends one sense interval (Figure 1): it updates the shared
+// controller state, evaluates every member's rule on the interval's miss
+// count, and applies the members' common next state. When the next states
+// differ it applies none, records the members grouped by next state as a
+// pending split, and reports true.
+func (c *Cache) endInterval(nowCycles uint64) bool {
 	c.intervalIndex++
 	c.stats.Intervals++
 	misses := c.intervalMisses
@@ -627,7 +804,7 @@ func (c *Cache) endInterval(nowCycles uint64) {
 	}
 
 	p := c.cfg.Params
-	bound := p.MissBound
+	var auto uint64
 	if p.AutoMissBoundFactor > 0 {
 		intervalAccesses := c.stats.Accesses - c.lastAccessMark
 		c.lastAccessMark = c.stats.Accesses
@@ -649,37 +826,93 @@ func (c *Cache) endInterval(nowCycles uint64) {
 		}
 		c.resizedLastIval = false
 		if !c.fullSizeRefValid {
-			return // hold until a steady-state reference exists
+			return false // hold until a steady-state reference exists
 		}
-		bound = uint64(p.AutoMissBoundFactor * c.fullSizeMissAvg)
+		auto = uint64(p.AutoMissBoundFactor * c.fullSizeMissAvg)
 		// The bound is meaningless above the access count the interval can
 		// produce; cap it so thrashing is always detectable.
-		if ceiling := intervalAccesses / 2; bound > ceiling {
-			bound = ceiling
+		if ceiling := intervalAccesses / 2; auto > ceiling {
+			auto = ceiling
 		}
-		if bound == 0 {
-			bound = 1
+		if auto == 0 {
+			auto = 1
 		}
+	}
+	act, split := hold, false
+	for i := range c.members {
+		m := &c.members[i]
+		v := c.rule(m, misses, auto)
+		switch v {
+		case floorHold:
+			m.SizeBoundHits++
+		case throttleHold:
+			m.BlockedDownsizes++
+		}
+		if i == 0 {
+			act = v.action()
+		} else if v.action() != act {
+			split = true
+		}
+	}
+	if !split {
+		c.apply(act, misses, nowCycles)
+		return false
+	}
+	c.parts = c.parts[:0]
+	for _, m := range c.members {
+		a := c.rule(&m, misses, auto).action()
+		k := 0
+		for k < len(c.parts) && c.parts[k].act != a {
+			k++
+		}
+		if k == len(c.parts) {
+			c.parts = append(c.parts, partition{act: a})
+		}
+		c.parts[k].members = append(c.parts[k].members, m)
+	}
+	c.splitMisses, c.splitNow = misses, nowCycles
+	return true
+}
+
+// rule is member m's decision at an interval boundary with the given miss
+// count: above its bound (auto, under AutoMissBoundFactor) the cache
+// upsizes, below it downsizes unless the member's floor or the throttle
+// blocks it, and at the bound it holds. An upsize at full size is a hold.
+func (c *Cache) rule(m *Member, misses, auto uint64) verdict {
+	p := &c.cfg.Params
+	bound := m.MissBound
+	if p.AutoMissBoundFactor > 0 {
+		bound = auto
 	}
 	switch {
 	case misses > bound:
-		c.resize(Upsize, misses, nowCycles)
+		if c.activeSets == c.totalSets && c.activeWays == c.assoc {
+			return hold
+		}
+		return upsize
 	case misses < bound:
-		atFloor := c.activeSets/p.Divisibility < c.minSets
+		atFloor := c.activeSets/p.Divisibility < m.minSets
 		if p.ResizeWays {
-			atFloor = c.activeWays-1 < c.minWays
+			atFloor = c.activeWays-1 < m.minWays
 		}
 		if atFloor {
-			c.stats.SizeBoundHits++
-			return
+			return floorHold
 		}
 		if c.throttleBlocked > 0 {
-			c.stats.BlockedDownsizes++
-			return
+			return throttleHold
 		}
+		return downsize
+	}
+	return hold
+}
+
+// apply moves the controller to the next state act.
+func (c *Cache) apply(act verdict, misses, nowCycles uint64) {
+	switch act {
+	case upsize:
+		c.resize(Upsize, misses, nowCycles)
+	case downsize:
 		c.resize(Downsize, misses, nowCycles)
-	default:
-		// Exactly at the bound: hold.
 	}
 }
 
@@ -690,31 +923,17 @@ func (c *Cache) resize(dir ResizeDirection, misses, nowCycles uint64) {
 	p := c.cfg.Params
 	fromSets, fromWays := c.activeSets, c.activeWays
 	toSets, toWays := fromSets, fromWays
-	if p.ResizeWays {
-		if dir == Downsize {
-			toWays--
-			if toWays < c.minWays {
-				toWays = c.minWays
-			}
-		} else {
-			toWays++
-			if toWays > c.assoc {
-				toWays = c.assoc
-			}
-		}
-	} else if dir == Downsize {
-		toSets = fromSets / p.Divisibility
-		if toSets < c.minSets {
-			toSets = c.minSets
-		}
-	} else {
-		toSets = fromSets * p.Divisibility
-		if toSets > c.totalSets {
-			toSets = c.totalSets
-		}
-	}
-	if toSets == fromSets && toWays == fromWays {
-		return
+	// The rule steps only between sizes the cache can take — it holds at
+	// full size and at every member's floor — so no step needs a clamp.
+	switch {
+	case p.ResizeWays && dir == Downsize:
+		toWays--
+	case p.ResizeWays:
+		toWays++
+	case dir == Downsize:
+		toSets /= p.Divisibility
+	default:
+		toSets *= p.Divisibility
 	}
 
 	c.noteSizeSpan(nowCycles)
@@ -854,6 +1073,6 @@ func (c *Cache) EffectiveMissRateVsBound() float64 {
 	if !c.cfg.Params.Enabled || c.stats.Accesses == 0 {
 		return 0
 	}
-	target := float64(c.cfg.Params.MissBound) / float64(c.cfg.Params.SenseInterval)
+	target := float64(c.members[0].MissBound) / float64(c.cfg.Params.SenseInterval)
 	return math.Abs(c.stats.MissRate() - target)
 }

@@ -124,6 +124,21 @@ func (e *Engine) Reset() {
 	e.stats = Stats{}
 }
 
+// CopyFrom makes e a deep copy of src, an engine of the same configuration
+// and frame count: per-line state, tick position, pending penalty, the
+// leakage integral and the counters. e keeps the array it drives.
+func (e *Engine) CopyFrom(src *Engine) {
+	if e.cfg != src.cfg || e.frames != src.frames {
+		panic("policy: CopyFrom between engines of different configurations")
+	}
+	arr, lastTouch, powered, drowsy := e.arr, e.lastTouch, e.powered, e.drowsy
+	*e = *src
+	e.arr, e.lastTouch, e.powered, e.drowsy = arr, lastTouch, powered, drowsy
+	copy(e.lastTouch, src.lastTouch)
+	copy(e.powered, src.powered)
+	copy(e.drowsy, src.drowsy)
+}
+
 // OnAccess is the cache's access hook: frame served the access (the hit
 // frame or the fill victim). It must be registered via the cache's
 // SetAccessHook so every hit and fill flows through it.

@@ -10,12 +10,18 @@ package sim
 // generated once and shared the same way. Each lane owns its hierarchy,
 // pipeline state, and statistics, so the results are bit-identical to
 // sequential runs. Run is the one-lane case of the same pass.
+//
+// Configurations that differ only in the L1 i-cache's miss-bound and
+// size-bound — a Figure 3 grid — start as one lane class: one lane and one
+// hierarchy until the first sense interval where their controllers decide
+// differently, where the lane forks (internal/cpu). Each member's Result is
+// assembled from the lane that holds it at the end.
 
 import (
 	"context"
 	"runtime/pprof"
+	"slices"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"dricache/internal/bpred"
@@ -43,12 +49,19 @@ type LaneStats struct {
 	// stream the trace store did not hold; their lanes share one generator
 	// pass instead of one replay decode.
 	Fallbacks uint64
+	// Forks counts lanes forked from lane classes: a class of
+	// configurations that differ only in miss-bound and size-bound runs as
+	// one lane until their controllers' decisions diverge, and each
+	// divergence adds lanes. Lanes − Forks is the share of simulations that
+	// never needed a lane of their own.
+	Forks uint64
 }
 
 var (
 	laneBatches   atomic.Uint64
 	laneLanes     atomic.Uint64
 	laneFallbacks atomic.Uint64
+	laneForks     atomic.Uint64
 )
 
 // ReadLaneStats returns the process-wide lane-executor counters. Batches
@@ -63,49 +76,7 @@ func ReadLaneStats() LaneStats {
 		Lanes:       l,
 		DecodeSaved: l - b,
 		Fallbacks:   laneFallbacks.Load(),
-	}
-}
-
-// hierPools caches constructed hierarchies per exact mem.Config. A Table 1
-// hierarchy carries ~0.6 MB of frame state; sweeps build one per
-// (configuration, benchmark) point, and benchmarks re-run the same points
-// across iterations, so reuse through mem.Hierarchy.Reset removes the
-// dominant per-lane setup garbage. The pooled hierarchies themselves are
-// GC-reclaimable (sync.Pool), but the map entries are not — configurations
-// are client-controlled in a serving process, so the config set is bounded
-// by maxHierPools and dropped wholesale when exceeded (the pools are pure
-// caches; the next acquire simply constructs fresh).
-const maxHierPools = 256
-
-var (
-	hierMu    sync.Mutex
-	hierPools = make(map[mem.Config]*sync.Pool)
-)
-
-func acquireHierarchy(cfg mem.Config) *mem.Hierarchy {
-	hierMu.Lock()
-	pool := hierPools[cfg]
-	if pool == nil {
-		if len(hierPools) >= maxHierPools {
-			clear(hierPools)
-		}
-		pool = &sync.Pool{}
-		hierPools[cfg] = pool
-	}
-	hierMu.Unlock()
-	if h, _ := pool.Get().(*mem.Hierarchy); h != nil {
-		h.Reset()
-		return h
-	}
-	return mem.New(cfg)
-}
-
-func releaseHierarchy(cfg mem.Config, h *mem.Hierarchy) {
-	hierMu.Lock()
-	pool := hierPools[cfg]
-	hierMu.Unlock()
-	if pool != nil {
-		pool.Put(h)
+		Forks:       laneForks.Load(),
 	}
 }
 
@@ -165,7 +136,7 @@ func RunLanesNotedCtx(ctx context.Context, cfgs []Config, prog trace.Program) ([
 		res, err := RunCtxE(ctx, cfgs[0], prog)
 		return []Result{res}, false, err
 	}
-	out, generated, err := runPass(ctx, cfgs, prog,
+	out, generated, forks, err := runPass(ctx, cfgs, prog,
 		pprof.Labels("benchmark", prog.Name, "lanes", strconv.Itoa(len(cfgs))))
 	if err != nil {
 		return out, false, err
@@ -173,18 +144,46 @@ func RunLanesNotedCtx(ctx context.Context, cfgs []Config, prog trace.Program) ([
 	if generated {
 		laneFallbacks.Add(uint64(len(cfgs)))
 	}
+	laneForks.Add(uint64(forks))
 	laneLanes.Add(uint64(len(cfgs)))
 	laneBatches.Add(1)
 	return out, true, nil
 }
 
+// classesOf groups cfgs into lane classes, in order of first appearance:
+// configurations equal except for the L1 i-cache's miss-bound and
+// size-bound share one. Each class is a list of indices into cfgs.
+func classesOf(cfgs []Config) [][]int {
+	byKey := make(map[Config]int, 1)
+	var classes [][]int
+	for i, c := range cfgs {
+		k := c
+		k.Mem.L1I.Params.MissBound, k.Mem.L1I.Params.SizeBoundBytes = 0, 0
+		j, ok := byKey[k]
+		if !ok {
+			j = len(classes)
+			byKey[k] = j
+			classes = append(classes, nil)
+		}
+		classes[j] = append(classes[j], i)
+	}
+	return classes
+}
+
 // runPass simulates prog under every configuration in cfgs (one common
 // instruction budget) in a single lock-step pass over its stream, with the
-// goroutine labeled by labels for CPU profiles. The stream is a replay of
-// the shared trace store's recording, or — generated reports this — the
-// generator itself when the store bypasses it. On cancellation the results
-// are zero values and the error wraps cpu.ErrAborted.
-func runPass(ctx context.Context, cfgs []Config, prog trace.Program, labels pprof.LabelSet) (out []Result, generated bool, err error) {
+// goroutine labeled by labels for CPU profiles. Each lane class of cfgs
+// (classesOf) starts as one lane; forks counts the lanes its divergences
+// added. The stream is a replay of the shared trace store's recording, or —
+// generated reports this — the generator itself when the store bypasses
+// it. On cancellation the results are zero values and the error wraps
+// cpu.ErrAborted.
+func runPass(ctx context.Context, cfgs []Config, prog trace.Program, labels pprof.LabelSet) (out []Result, generated bool, forks int, err error) {
+	return runClasses(ctx, cfgs, classesOf(cfgs), prog, labels)
+}
+
+// runClasses is runPass over a given grouping of cfgs into classes.
+func runClasses(ctx context.Context, cfgs []Config, classes [][]int, prog trace.Program, labels pprof.LabelSet) (out []Result, generated bool, forks int, err error) {
 	out = make([]Result, len(cfgs))
 	budget := cfgs[0].Instructions
 	pprof.Do(ctx, labels, func(ctx context.Context) {
@@ -207,47 +206,70 @@ func runPass(ctx context.Context, cfgs []Config, prog trace.Program, labels ppro
 			src = isa.Chunked(prog.Stream(budget))
 		}
 
-		hs := make([]*mem.Hierarchy, len(cfgs))
-		pipes := make([]*cpu.Pipeline, len(cfgs))
+		mcfgs := make([]mem.Config, len(cfgs))
+		for i, c := range cfgs {
+			mcfgs[i] = c.Mem
+		}
+		pipes := make([]*cpu.Pipeline, len(classes))
 		recs := make([]*timeline.Recorder, len(cfgs))
 		// One predictor per distinct predictor configuration: cpu.RunLanes
 		// walks only the leader of each config group anyway, so per-lane
 		// predictors would be constructed and never stepped.
 		preds := make(map[bpred.Config]*bpred.Predictor, 1)
-		for i, c := range cfgs {
-			h := acquireHierarchy(c.Mem)
-			hs[i] = h
+		for ci, cls := range classes {
+			c := cfgs[cls[0]]
+			h := mem.Acquire(c.Mem)
+			h.SetClass(mcfgs, cls)
 			bp := preds[c.Bpred]
 			if bp == nil {
 				bp = bpred.New(c.Bpred)
 				preds[c.Bpred] = bp
 			}
-			pipes[i] = cpu.New(c.CPU, h, h, bp, h)
-			recs[i] = newRecorder(ctx, c)
-			pipes[i].SetTimeline(recs[i])
+			pipes[ci] = cpu.New(c.CPU, h, h, bp, h)
+			if c.Timeline.Enabled {
+				// Indexed by member ID (the index into cfgs), holding only
+				// this class's recorders: every class member records, at
+				// one interval.
+				crecs := make([]*timeline.Recorder, len(cfgs))
+				for _, i := range cls {
+					crecs[i] = newRecorder(ctx, cfgs[i])
+					recs[i] = crecs[i]
+				}
+				pipes[ci].SetTimeline(crecs...)
+			}
 		}
 		_, sp = obs.StartSpan(ctx, "pipeline")
 		if len(cfgs) > 1 {
 			sp.SetAttr("lanes", strconv.Itoa(len(cfgs)))
 		}
-		var cpuRes []cpu.Result
-		cpuRes, err = cpu.RunLanesCtx(ctx, src, pipes)
+		cpuRes, hs, rerr := cpu.RunLanesCtx(ctx, src, pipes)
 		sp.End()
-		if err != nil {
+		if rerr != nil {
 			// Aborted mid-pass: the hierarchies hold partial state, but
 			// Reset on the next acquire makes them safe to pool anyway.
-			for i, c := range cfgs {
-				releaseHierarchy(c.Mem, hs[i])
+			for _, h := range hs {
+				mem.Release(h)
 			}
+			err = rerr
 			return
 		}
+		forks = len(hs) - len(classes)
 		_, sp = obs.StartSpan(ctx, "assemble")
-		for i, c := range cfgs {
-			hs[i].Finish(cpuRes[i].Cycles)
-			out[i] = assemble(c, prog, cpuRes[i], hs[i], recs[i])
-			releaseHierarchy(c.Mem, hs[i])
+		for l, h := range hs {
+			h.Finish(cpuRes[l].Cycles)
+			for j, m := range h.ICache().Members() {
+				i := m.ID
+				out[i] = assemble(cfgs[i], prog, cpuRes[l], h, j, recs[i])
+				if j > 0 {
+					// Members of one lane share its logs; give each
+					// Result its own.
+					out[i].Events = slices.Clone(out[i].Events)
+					out[i].L2Events = slices.Clone(out[i].L2Events)
+				}
+			}
+			mem.Release(h)
 		}
 		sp.End()
 	})
-	return out, generated, err
+	return out, generated, forks, err
 }

@@ -103,6 +103,9 @@ func RegisterMetrics(r *obs.Registry) {
 	r.NewCounterFunc("sim_lane_fallbacks_total",
 		"RunLanes simulations whose stream the trace store bypassed (sharing one generator pass).",
 		lane(func(s LaneStats) uint64 { return s.Fallbacks }))
+	r.NewCounterFunc("sim_lane_forks_total",
+		"Lanes forked from lane classes where the members' DRI controller decisions diverged.",
+		lane(func(s LaneStats) uint64 { return s.Forks }))
 	r.NewCounterFunc("sim_lane_stream_wait_seconds_total",
 		"Time lane stages spent blocked on an empty ring, waiting for the stream stage's decode and prediction.",
 		func() float64 { return cpu.StreamWait().Seconds() })

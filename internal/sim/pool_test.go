@@ -14,16 +14,9 @@ import (
 	"testing"
 
 	"dricache/internal/dri"
+	"dricache/internal/mem"
 	"dricache/internal/policy"
 )
-
-// drainHierPools empties the per-config hierarchy pools so the next
-// acquireHierarchy constructs fresh.
-func drainHierPools() {
-	hierMu.Lock()
-	clear(hierPools)
-	hierMu.Unlock()
-}
 
 // TestPooledHierarchyBitIdentical runs every policy kind three times on one
 // configuration: the first run on a freshly constructed hierarchy (the pool
@@ -53,7 +46,7 @@ func TestPooledHierarchyBitIdentical(t *testing.T) {
 			if err := tc.cfg.Mem.Check(); err != nil {
 				t.Fatal(err)
 			}
-			drainHierPools()
+			mem.DrainPools()
 			fresh := Run(tc.cfg, p)
 			for i := 0; i < 2; i++ {
 				if pooled := Run(tc.cfg, p); !reflect.DeepEqual(pooled, fresh) {

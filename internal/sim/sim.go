@@ -180,7 +180,7 @@ func RunCtxE(ctx context.Context, cfg Config, prog trace.Program) (Result, error
 	if cerr := ctx.Err(); cerr != nil {
 		return Result{}, abortedBeforeStart(ctx)
 	}
-	out, _, err := runPass(ctx, []Config{cfg}, prog,
+	out, _, _, err := runPass(ctx, []Config{cfg}, prog,
 		pprof.Labels("benchmark", prog.Name, "policy", policyLabel(cfg)))
 	return out[0], err
 }
@@ -236,17 +236,18 @@ func newRecorder(ctx context.Context, cfg Config) *timeline.Recorder {
 	return rec
 }
 
-// assemble collects every observable of a finished run into a Result. The
-// snapshots it takes (stats copies, the residency map copy, the event log's
-// final backing array) do not alias hierarchy state that a later Reset
-// mutates, so the hierarchy may be returned to the pool immediately after.
-func assemble(cfg Config, prog trace.Program, cpuRes cpu.Result, h *mem.Hierarchy, rec *timeline.Recorder) Result {
+// assemble collects every observable of a finished run into a Result: the
+// run of cfg, member j of h's lane class. The snapshots it takes (stats
+// copies, the residency map copy, the event log's final backing array) do
+// not alias hierarchy state that a later Reset mutates, so the hierarchy
+// may be returned to the pool immediately after.
+func assemble(cfg Config, prog trace.Program, cpuRes cpu.Result, h *mem.Hierarchy, j int, rec *timeline.Recorder) Result {
 	ic := h.ICache()
 	l2 := h.L2()
 	res := Result{
 		Benchmark:           prog.Name,
 		CPU:                 cpuRes,
-		ICache:              ic.Stats(),
+		ICache:              ic.MemberStats(j),
 		Mem:                 h.Stats(),
 		AvgActiveFraction:   h.L1ILeakFraction(),
 		ResizingTagBits:     cfg.Mem.L1I.ResizingTagBits(),

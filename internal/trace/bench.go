@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -9,8 +10,37 @@ import (
 // (all of SPEC95 minus two floating-point and one integer benchmark),
 // grouped in the paper's three classes. Each definition encodes the
 // published characterization of that benchmark's i-cache behaviour; the
-// package comment gives the substitution argument.
+// package comment gives the substitution argument. The list and its
+// programs are the caller's own: changing them changes no later lookup.
 func Benchmarks() []Program {
+	out := make([]Program, len(benchTable))
+	for i, p := range benchTable {
+		out[i] = p.clone()
+	}
+	return out
+}
+
+// benchTable is the benchmark definitions, built once; Benchmarks and
+// ByName hand out copies. benchIndex maps a name to its entry.
+var (
+	benchTable = definitions()
+	benchIndex = func() map[string]int {
+		m := make(map[string]int, len(benchTable))
+		for i, p := range benchTable {
+			m[p.Name] = i
+		}
+		return m
+	}()
+)
+
+// clone returns p with its own phase list.
+func (p Program) clone() Program {
+	p.Phases = slices.Clone(p.Phases)
+	return p
+}
+
+// definitions builds the benchmark table.
+func definitions() []Program {
 	return []Program{
 		// ---- Class 1: small i-cache requirement throughout ----
 		// "They mostly execute tight loops allowing a DRI i-cache to stay
@@ -200,12 +230,11 @@ func Benchmarks() []Program {
 	}
 }
 
-// ByName returns the named benchmark or an error listing valid names.
+// ByName returns (a copy of) the named benchmark or an error listing valid
+// names.
 func ByName(name string) (Program, error) {
-	for _, p := range Benchmarks() {
-		if p.Name == name {
-			return p, nil
-		}
+	if i, ok := benchIndex[name]; ok {
+		return benchTable[i].clone(), nil
 	}
 	return Program{}, fmt.Errorf("trace: unknown benchmark %q (have %v)", name, Names())
 }
@@ -213,9 +242,8 @@ func ByName(name string) (Program, error) {
 // Names returns the benchmark names in class order (the paper's Figure 3
 // x-axis order).
 func Names() []string {
-	bs := Benchmarks()
-	names := make([]string, len(bs))
-	for i, b := range bs {
+	names := make([]string, len(benchTable))
+	for i, b := range benchTable {
 		names[i] = b.Name
 	}
 	return names
@@ -224,9 +252,9 @@ func Names() []string {
 // ByClass returns the benchmarks of one class, preserving order.
 func ByClass(c SPECClass) []Program {
 	var out []Program
-	for _, b := range Benchmarks() {
+	for _, b := range benchTable {
 		if b.Class == c {
-			out = append(out, b)
+			out = append(out, b.clone())
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -344,6 +345,38 @@ func TestBenchmarkRegistry(t *testing.T) {
 			t.Errorf("duplicate seed %d", b.Seed)
 		}
 		seen[b.Seed] = true
+	}
+}
+
+// TestByNameReturnsACopy: the benchmark table is built once, and what a
+// lookup returns is the caller's own — changing a returned Program, its
+// phases included, or a Benchmarks list changes no later lookup.
+func TestByNameReturnsACopy(t *testing.T) {
+	want, err := ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = want.clone()
+	p, _ := ByName("gcc")
+	p.Name, p.Seed = "mutated", 1
+	p.Phases[0].Fraction, p.Phases[0].CodeKB = 0.5, 1
+	p.Phases = append(p.Phases[:1], Phase{Name: "extra"})
+	bs := Benchmarks()
+	for i := range bs {
+		bs[i].Phases[0].LoopTrip = -1
+	}
+	got, err := ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ByName after mutation = %+v, want %+v", got, want)
+	}
+	if again := Benchmarks(); !reflect.DeepEqual(again[0], benchTable[0]) || again[0].Phases[0].LoopTrip == -1 {
+		t.Fatal("mutating a Benchmarks list changed the table")
+	}
+	if n := testing.AllocsPerRun(100, func() { ByName("gcc") }); n > 1 {
+		t.Errorf("ByName allocates %v times per call, want at most 1 (its phase list)", n)
 	}
 }
 
