@@ -217,7 +217,7 @@ func BenchmarkLaneSweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	const instrs = 1_000_000
-	for _, lanes := range []int{8, 16} {
+	for _, lanes := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("%dlanes", lanes), func(b *testing.B) {
 			cfgs := laneSweepConfigs(lanes, instrs)
 			RunLanes(cfgs, prog) // prime the replay store

@@ -26,7 +26,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"dricache/internal/bpred"
 	"dricache/internal/isa"
@@ -189,40 +188,6 @@ func New(cfg Config, imem, dmem *mem.Hierarchy, bp *bpred.Predictor, tick *mem.H
 
 // Predictor exposes the branch predictor (for stats).
 func (p *Pipeline) Predictor() *bpred.Predictor { return p.bp }
-
-// rings bundles the per-run sliding-window and occupancy buffers so they
-// can be pooled across runs: a sweep executes thousands of short
-// simulations, and re-allocating ~2 KB of rings per run is measurable
-// against the replay-store hot path.
-type rings struct {
-	fetch, dispatch, commit, port, rob, lsq []uint64
-}
-
-var ringPool = sync.Pool{New: func() any { return new(rings) }}
-
-// sized returns s with exactly n zeroed elements, reusing its backing array
-// when possible.
-func sized(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-func getRings(cfg *Config) *rings {
-	r := ringPool.Get().(*rings)
-	r.fetch = sized(r.fetch, cfg.FetchWidth)
-	r.dispatch = sized(r.dispatch, cfg.DispatchWidth)
-	r.commit = sized(r.commit, cfg.CommitWidth)
-	r.port = sized(r.port, cfg.MemPorts)
-	r.rob = sized(r.rob, cfg.ROBSize)
-	r.lsq = sized(r.lsq, cfg.LSQSize)
-	return r
-}
-
-func putRings(r *rings) { ringPool.Put(r) }
 
 // Run consumes the stream to completion and returns timing results. It is
 // the one-lane case of the lane executor (lanes.go): the stream is consumed

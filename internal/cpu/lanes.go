@@ -18,15 +18,24 @@
 // turn on the caller's goroutine a chunk at a time (a second goroutine
 // would only add handoffs).
 //
+// The lane stage steps lanes in vectors. The lanes of a pass that share a
+// core configuration, a predictor group and an L1D group see every
+// instruction with the same fetch-block transition, class, operands,
+// redirect and L1D outcome, at the same ring positions and tick; a vector
+// does that shared work once per instruction and then advances each lane's
+// timing state, held structure-of-arrays in one slice, so the lanes'
+// independent dependency chains overlap in the host core's out-of-order
+// window. A solo run is a vector of one lane.
+//
 // A lane steps a lane class: its hierarchy's L1 i-cache may carry several
 // members (mem.Hierarchy.SetClass) — configurations that differ only in
 // their DRI miss-bound and size-bound, whose controllers have decided alike
 // so far and so share every cache, pipeline and cycle count. At the
 // sense-interval boundary where their rules disagree, the hierarchy reports
-// a split, the lane stops after that instruction, and the executor forks
-// it: each further partition of members continues on a copy of the lane
-// (rings, scoreboard, cursors and hierarchy) from the same point of the
-// same chunk.
+// a split at that instruction's tick, and the executor forks the lane:
+// each further partition of members continues as a new column of the same
+// vector — a copy of the lane's timing state and hierarchy — from the next
+// instruction.
 package cpu
 
 import (
@@ -45,23 +54,24 @@ import (
 )
 
 // laneChunk is the number of decoded instructions a lane pass consumes at a
-// time: a chunk of isa.DecodedInstr (8 KiB) plus per-group prediction
-// outcomes stay L1-resident while each lane sweeps the whole chunk with its
-// own timing state hot in registers — instead of every lane's state
-// thrashing through the cache once per instruction.
+// time: a chunk of isa.DecodedInstr (8 KiB) plus per-group prediction and
+// L1D outcomes stay L1-resident while every vector sweeps the whole chunk.
 const laneChunk = 256
 
-// predOut carries one instruction's branch-prediction outcomes: mispred is
-// true when a conditional branch's direction was mispredicted; tgtMiss is
-// true when the BTB/RAS target of a control instruction was wrong (a fetch
-// redirect at execute).
-type predOut struct {
-	mispred bool
-	tgtMiss bool
-}
+// predOut carries one instruction's branch-prediction outcomes as flags:
+// predMispred when a conditional branch's direction was mispredicted;
+// predRedirect when fetch waits for the instruction to resolve — a
+// mispredict, or a BTB/RAS target miss on a taken control transfer.
+type predOut uint8
+
+const (
+	predMispred predOut = 1 << iota
+	predRedirect
+)
 
 // predictChunk walks one predictor group's leader over a decoded chunk,
-// recording each instruction's outcomes in outs. Predictor state is purely
+// recording each instruction's outcomes in outs, and returns the chunk's
+// conditional branches and direction mispredicts. Predictor state is purely
 // stream-driven (see bpred.Predictor.Config), so lanes with equal predictor
 // configurations — over the same stream — observe identical prediction
 // outcomes and statistics; the leader is walked once per chunk and its
@@ -69,25 +79,44 @@ type predOut struct {
 // timing model (the goldens pin it): the BTB is consulted (and trained) for
 // a conditional branch only when the direction was correctly predicted
 // taken.
-func predictChunk(bp *bpred.Predictor, buf []isa.DecodedInstr, outs *[laneChunk]predOut) {
+func predictChunk(bp *bpred.Predictor, buf []isa.DecodedInstr, outs *[laneChunk]predOut) (branches, mispredicts uint64) {
 	for k := range buf {
 		e := &buf[k]
 		var o predOut
 		switch e.Cls {
 		case isa.Branch:
-			o.mispred = bp.PredictBranch(e.PC, e.Taken)
-			o.tgtMiss = !o.mispred && e.Taken && bp.PredictTarget(e.PC, e.Target)
+			branches++
+			if bp.PredictBranch(e.PC, e.Taken) {
+				o = predMispred | predRedirect
+				mispredicts++
+			} else if e.Taken && bp.PredictTarget(e.PC, e.Target) {
+				// Correctly predicted taken with a BTB target miss: a
+				// fetch redirect at execute, like a mispredict.
+				o = predRedirect
+			}
 		case isa.Jump:
-			o.tgtMiss = bp.PredictTarget(e.PC, e.Target)
+			o = redirectIf(bp.PredictTarget(e.PC, e.Target))
 		case isa.Call:
 			bp.Call(e.PC + isa.InstrBytes)
-			o.tgtMiss = bp.PredictTarget(e.PC, e.Target)
+			o = redirectIf(bp.PredictTarget(e.PC, e.Target))
 		case isa.Ret:
-			o.tgtMiss = bp.Return(e.Target)
+			o = redirectIf(bp.Return(e.Target))
 		}
 		outs[k] = o
 	}
+	return branches, mispredicts
 }
+
+// redirectIf returns predRedirect for a target miss.
+func redirectIf(miss bool) predOut {
+	if miss {
+		return predRedirect
+	}
+	return 0
+}
+
+// chunkMix counts a decoded chunk's conditional branches, loads and stores.
+type chunkMix struct{ branches, loads, stores uint64 }
 
 // L1D outcome flags. A memory instruction's L1D outcome is one word: 0 for
 // a hit; for a miss, l1dMiss, plus l1dDirty and the dirty victim's block
@@ -107,74 +136,47 @@ type l1dGroup struct {
 }
 
 // walk runs the group's cache over a decoded chunk, recording each memory
-// instruction's outcome in outs (other entries are left as they are). The
-// L1D never resizes and carries no policy, so its hits, misses and dirty
+// instruction's outcome in outs and 0 for every other instruction, and
+// returns the chunk's loads and stores. The L1D
+// never resizes and carries no policy, so its hits, misses and dirty
 // victims are a pure function of the data-address stream and its geometry:
 // lanes with equal L1D geometries — over the same stream — see identical
 // outcomes, and the leader's cache is walked once per chunk for the whole
 // group.
-func (g l1dGroup) walk(buf []isa.DecodedInstr, outs *[laneChunk]uint64) {
+func (g l1dGroup) walk(buf []isa.DecodedInstr, outs *[laneChunk]uint64) (loads, stores uint64) {
+	var memOps uint64
 	for k := range buf {
 		e := &buf[k]
-		if !e.Cls.IsMem() {
-			continue
-		}
 		var o uint64
-		if hit, wb, dirty := g.dc.AccessDataWB(e.MemAddr>>g.shift, e.Cls == isa.Store); dirty {
-			o = wb<<2 | l1dDirty | l1dMiss
-		} else if !hit {
-			o = l1dMiss
+		if e.Cls.IsMem() {
+			memOps++
+			stores += uint64(e.Cls - isa.Load) // 1 for a Store, which follows Load
+			if hit, wb, dirty := g.dc.AccessDataWB(e.MemAddr>>g.shift, e.Cls == isa.Store); dirty {
+				o = wb<<2 | l1dDirty | l1dMiss
+			} else if !hit {
+				o = l1dMiss
+			}
 		}
 		outs[k] = o
 	}
+	return memOps - stores, stores
 }
 
-// lane is the complete per-simulation timing state of one configuration:
-// stage rings, dataflow scoreboard, fetch/commit cursors, and the lane's
-// own memory hierarchy. One lane advanced by stepChunk over a decoded
-// stream is Pipeline.Run; N lanes advanced lock-step share the decode.
+// lane is the state of one simulation that its vector's timing rows do not
+// hold: the lane's own memory hierarchy, its i-cache stalls, way-memo hits
+// and flight recorders, and its column in the vector.
 type lane struct {
-	cfg Config
+	v   *vector
+	col int
 	h   *mem.Hierarchy
-	// bp is the lane's predictor group leader and group its index: the lane
-	// reads its outcomes from the slot's outs[group].
-	bp    *bpred.Predictor
-	group int
-	// dgroup is the lane's L1D group: the lane reads its L1D outcomes from
-	// the slot's douts[dgroup] and never touches its own L1D.
-	dgroup int
-	rs     *rings
 
-	fetchRing    []uint64
-	dispatchRing []uint64
-	commitRing   []uint64
-	portAvail    []uint64
-	robRing      []uint64
-	lsqRing      []uint64
-
-	fetchIdx    int
-	dispatchIdx int
-	commitIdx   int
-	robIdx      int
-	lsqIdx      int
-
-	singlePort bool
-
-	regReady [isa.RegCount]uint64
-
-	count     uint64 // instructions retired
-	ft        uint64 // last fetch time (monotone)
-	cmt       uint64 // last commit time (monotone)
-	redirect  uint64 // earliest fetch time after a redirect
-	curBlock  uint64
-	blockMask uint64 // low BlockShift bits of a PC
-	tickAccum uint64
+	stalls uint64 // fetch cycles added by i-cache misses
 
 	// memo is the lane's L1 i-cache when way memoization is enabled (nil
 	// otherwise). A fetch-block transition whose target the link registers
 	// already name skips mem.FetchBlock entirely — MemoHit is a pure probe —
 	// and the hits accumulate locally, flushed into the cache's statistics by
-	// finish. Way memoization never runs under a per-line policy or a live
+	// flush. Way memoization never runs under a per-line policy or a live
 	// DRI controller (policy.Apply forbids both), so a memoized hit has no
 	// side effect beyond the two counters and zero latency: the bypass is
 	// bit-identical to calling FetchBlock (TestMemoLaneMatchesFetchBlock),
@@ -183,301 +185,372 @@ type lane struct {
 	memoHits uint64
 
 	// recs, when non-nil, are the interval flight recorders, indexed by
-	// the ID of the class member each records: every time count crosses
-	// recNext the lane snapshots its hierarchy into the recorder of every
-	// member it holds. Disabled-recorder overhead is one nil check per
-	// chunk, outside the per-instruction stage advance.
+	// the ID of the class member each records: every time the vector's
+	// instruction count crosses recNext the lane snapshots its hierarchy
+	// into the recorder of every member it holds. Disabled-recorder
+	// overhead is one nil check per chunk, outside the per-instruction
+	// stage advance.
 	recs    []*timeline.Recorder
 	recNext uint64
+}
 
-	// from is where a lane forked in mid-chunk resumes that chunk.
-	from int
+// vectorKey is what the lanes of one vector share: a core configuration, a
+// predictor group and an L1D group.
+type vectorKey struct {
+	cfg           Config
+	group, dgroup int
+}
 
+// The timing rows of a vector: rows ftRow, cmtRow and redirectRow hold each
+// lane's last fetch time and last commit time (both monotone) and its
+// earliest fetch time after a redirect. zeroRow is never written, so an
+// absent source operand reads it as ready at 0; sinkRow takes an absent
+// destination's write and is never read. The stage rings follow from
+// fetchRow, then the register scoreboard.
+const (
+	ftRow       = 0
+	cmtRow      = 1
+	redirectRow = 2
+	zeroRow     = 3
+	sinkRow     = 4
+	fetchRow    = 5
+)
+
+// vector is the lanes of a pass that share a vectorKey, stepped together
+// instruction-major. Every lane of a pass starts at the stream's first
+// instruction and a fork starts as a copy of its parent, so the lanes of a
+// vector always agree on everything the stream and the shared
+// configuration decide: the fetch-block cursor, the ring positions, the
+// tick count and the counts in res. Only the timing rows differ from lane
+// to lane. They are structure-of-arrays: s holds row r of the lane in
+// column j at s[r*n+j], so one row of every lane is contiguous.
+type vector struct {
+	cfg    Config
+	bp     *bpred.Predictor // the predictor group's leader
+	group  int              // predictor group: outcomes are the slot's outs[group]
+	dgroup int              // L1D group: outcomes are the slot's douts[dgroup]
+	lanes  []*lane          // by column
+
+	n    int // columns
+	s    []uint64
+	rows int
+	// row holds the first row of each ring and of the scoreboard, off the
+	// same rows as offsets in s for n columns. Each ring ends where the
+	// next begins.
+	row, off vectorRows
+	// srcOff and dstOff give, by register operand, the offset in s of the
+	// row an instruction reads as a source and writes as its destination:
+	// the register's scoreboard row, or zeroRow and sinkRow for isa.NoReg.
+	srcOff, dstOff [256]int
+	// cur holds the offset in s of each ring's current row.
+	cur struct{ fetch, dispatch, commit, rob, lsq int }
+
+	curBlock  uint64
+	tickAccum uint64
+	// res counts what the lanes share: instructions, fetch groups, the
+	// class mix and mispredicts.
 	res Result
 }
 
-// newLane builds the per-run state for one configuration over its own
-// hierarchy, drawing the stage rings from the shared pool.
-func newLane(cfg Config, h *mem.Hierarchy, bp *bpred.Predictor, group, dgroup int, recs []*timeline.Recorder) *lane {
-	rs := getRings(&cfg)
-	var memo *dri.Cache
+// vectorRows places the stage rings and the register scoreboard.
+type vectorRows struct{ fetch, dispatch, commit, port, rob, lsq, reg int }
+
+func newVector(k vectorKey, bp *bpred.Predictor) *vector {
+	c := &k.cfg
+	v := &vector{cfg: k.cfg, bp: bp, group: k.group, dgroup: k.dgroup, curBlock: ^uint64(0)}
+	r := &v.row
+	r.fetch = fetchRow
+	r.dispatch = r.fetch + c.FetchWidth
+	r.commit = r.dispatch + c.DispatchWidth
+	r.port = r.commit + c.CommitWidth
+	r.rob = r.port + c.MemPorts
+	r.lsq = r.rob + c.ROBSize
+	r.reg = r.lsq + c.LSQSize
+	v.rows = r.reg + isa.RegCount
+	return v
+}
+
+// add makes a lane over hierarchy h, sampled by recs, the vector's next
+// column. Every lane must be added before start.
+func (v *vector) add(h *mem.Hierarchy, recs []*timeline.Recorder) *lane {
+	ln := &lane{v: v, col: len(v.lanes), h: h}
 	if ic := h.ICache(); ic.WayMemoEnabled() {
-		memo = ic
+		ln.memo = ic
 	}
 	// The lane samples at its members' interval; a lane none of whose
 	// members has a recorder samples nothing.
-	var recNext uint64
 	for _, m := range h.ICache().Members() {
 		if m.ID < len(recs) && recs[m.ID] != nil {
-			recNext = recs[m.ID].Interval()
+			ln.recs, ln.recNext = recs, recs[m.ID].Interval()
 			break
 		}
 	}
-	if recNext == 0 {
-		recs = nil
-	}
-	return &lane{
-		cfg:          cfg,
-		h:            h,
-		bp:           bp,
-		group:        group,
-		dgroup:       dgroup,
-		rs:           rs,
-		fetchRing:    rs.fetch,
-		dispatchRing: rs.dispatch,
-		commitRing:   rs.commit,
-		portAvail:    rs.port,
-		robRing:      rs.rob,
-		lsqRing:      rs.lsq,
-		singlePort:   cfg.MemPorts == 1,
-		curBlock:     ^uint64(0),
-		blockMask:    uint64(1)<<cfg.BlockShift - 1,
-		memo:         memo,
-		recs:         recs,
-		recNext:      recNext,
-	}
+	v.lanes = append(v.lanes, ln)
+	return ln
 }
 
-// clone returns a copy of the lane at its current point over a copy of its
-// hierarchy (mem.Hierarchy.CopyFrom). The copy keeps the lane's predictor
-// group, L1D group and recorders.
-func (ln *lane) clone() *lane {
-	c := *ln
-	c.rs = getRings(&c.cfg)
-	c.fetchRing, c.dispatchRing, c.commitRing = c.rs.fetch, c.rs.dispatch, c.rs.commit
-	c.portAvail, c.robRing, c.lsqRing = c.rs.port, c.rs.rob, c.rs.lsq
-	copy(c.fetchRing, ln.fetchRing)
-	copy(c.dispatchRing, ln.dispatchRing)
-	copy(c.commitRing, ln.commitRing)
-	copy(c.portAvail, ln.portAvail)
-	copy(c.robRing, ln.robRing)
-	copy(c.lsqRing, ln.lsqRing)
-	c.h = mem.Acquire(ln.h.Config())
-	c.h.CopyFrom(ln.h)
+// start lays out the timing rows of the lanes added so far, all zero.
+func (v *vector) start() {
+	v.n = len(v.lanes)
+	v.s = make([]uint64, v.rows*v.n)
+	v.offsets()
+	v.cur.fetch, v.cur.dispatch, v.cur.commit, v.cur.rob, v.cur.lsq = v.off.fetch, v.off.dispatch, v.off.commit, v.off.rob, v.off.lsq
+}
+
+// offsets sets off, srcOff and dstOff for the vector's column count.
+func (v *vector) offsets() {
+	n, r := v.n, v.row
+	v.off = vectorRows{r.fetch * n, r.dispatch * n, r.commit * n, r.port * n, r.rob * n, r.lsq * n, r.reg * n}
+	for reg := range isa.RegCount {
+		v.srcOff[reg] = (r.reg + reg) * n
+		v.dstOff[reg] = v.srcOff[reg]
+	}
+	v.srcOff[isa.NoReg], v.dstOff[isa.NoReg] = zeroRow*n, sinkRow*n
+}
+
+// clone adds a copy of the lane in column src at its current point, over a
+// copy of its hierarchy (mem.Hierarchy.CopyFrom), as the vector's next
+// column. The copy keeps the lane's recorders.
+func (v *vector) clone(src int) *lane {
+	n := v.n
+	s := make([]uint64, v.rows*(n+1))
+	for r := range v.rows {
+		row := v.s[r*n : (r+1)*n]
+		copy(s[r*(n+1):], row)
+		s[r*(n+1)+n] = row[src]
+	}
+	v.s, v.n = s, n+1
+	v.offsets()
+	// The cursors move to the same rows of the wider layout.
+	r := &v.cur
+	r.fetch, r.dispatch, r.commit, r.rob, r.lsq = r.fetch/n*(n+1), r.dispatch/n*(n+1), r.commit/n*(n+1), r.rob/n*(n+1), r.lsq/n*(n+1)
+	c := *v.lanes[src]
+	c.col = n
+	c.h = mem.Acquire(c.h.Config())
+	c.h.CopyFrom(v.lanes[src].h)
 	if c.memo != nil {
 		c.memo = c.h.ICache()
 	}
+	v.lanes = append(v.lanes, &c)
 	return &c
 }
 
-// fork resolves the split the lane's hierarchy reports: the lane keeps the
-// first partition of its class and each further partition continues on a
-// clone. A partition whose resumed interval accounting splits again forks
-// in turn. It returns the clones.
-func (ln *lane) fork() []*lane {
+// fork resolves the split the hierarchy of the lane in column col reports:
+// the lane keeps the first partition of its class and each further
+// partition continues as a clone. A partition whose resumed interval
+// accounting splits again forks in turn. It returns the clones.
+func (v *vector) fork(col int) []*lane {
 	var forks []*lane
-	for pending := []*lane{ln}; len(pending) > 0; {
+	for pending := []int{col}; len(pending) > 0; {
 		l := pending[len(pending)-1]
 		pending = pending[:len(pending)-1]
-		for k := 1; k < l.h.ICache().Partitions(); k++ {
-			c := l.clone()
+		ic := v.lanes[l].h.ICache()
+		for k := 1; k < ic.Partitions(); k++ {
+			c := v.clone(l)
 			forks = append(forks, c)
 			if c.h.ICache().TakePartition(k) {
-				pending = append(pending, c)
+				pending = append(pending, c.col)
 			}
 		}
-		if l.h.ICache().TakePartition(0) {
+		if ic.TakePartition(0) {
 			pending = append(pending, l)
 		}
 	}
 	return forks
 }
 
-// stepChunk advances the lane over a decoded chunk from instruction from;
-// outs holds the chunk's prediction outcomes for the lane's predictor group
-// (predictChunk over the same buf) and douts its L1D outcomes for the lane's
-// L1D group (l1dGroup.walk over the same buf), whose misses the lane
-// charges to its own L2 and memory through mem.Hierarchy.L1DMiss.
-// Per-instruction, e.Seq
-// is the chunk source's PC-sequentiality signal (isa.DecodedInstr.Seq);
-// when the PC is additionally not block-aligned, the instruction provably
-// shares the previous instruction's fetch block, so the block compare (and
-// any i-cache traffic) is skipped without consulting curBlock. A
-// constant-false Seq is always correct — it is purely an accelerator. The
-// lane's timing state is staged into locals for the whole chunk, so the
-// per-instruction stage advance runs register-to-register. When a tick
-// batch's hierarchy Advance reports a split of the lane's class, the lane
-// stops after that instruction and stepChunk returns its offset with split
-// set; the caller forks the lane (fork) and steps on from there.
-func (ln *lane) stepChunk(buf []isa.DecodedInstr, outs *[laneChunk]predOut, douts *[laneChunk]uint64, from int) (at int, split bool) {
-	cfg := &ln.cfg
-	var (
-		ft        = ln.ft
-		cmt       = ln.cmt
-		redirect  = ln.redirect
-		curBlock  = ln.curBlock
-		blockMask = ln.blockMask
-	)
-	at = len(buf)
-	for k := uint(from); k < uint(len(buf)); k++ {
-		e := &buf[k]
+// tick forwards instrs instructions of progress to every lane's hierarchy
+// at that lane's last fetch time, then forks each lane whose class splits,
+// in column order. It returns the forks.
+func (v *vector) tick(instrs uint64) []*lane {
+	var split []int
+	for j, ln := range v.lanes {
+		if ln.h.Advance(instrs, v.s[ftRow*v.n+j]) {
+			split = append(split, j)
+		}
+	}
+	var forks []*lane
+	for _, j := range split {
+		forks = append(forks, v.fork(j)...)
+	}
+	return forks
+}
 
-		// ---- Fetch ----
-		f := ft
-		if redirect > f {
-			f = redirect
-		}
-		if w := ln.fetchRing[ln.fetchIdx] + 1; w > f {
-			f = w
-		}
-		pc := e.PC
-		if !e.Seq || pc&blockMask == 0 {
-			if block := pc >> cfg.BlockShift; block != curBlock {
-				curBlock = block
-				ln.res.FetchGroups++
-				if ln.memo != nil && ln.memo.MemoHit(block) {
-					ln.memoHits++
-				} else if lat := ln.h.FetchBlock(block); lat > 0 {
-					f += lat
-					ln.res.ICacheStalls += lat
+// step advances every lane of the vector over a decoded chunk. outs holds
+// the chunk's prediction outcomes for the vector's predictor group
+// (predictChunk over the same buf) and douts its L1D outcomes for the
+// vector's L1D group (l1dGroup.walk over the same buf), whose misses each
+// lane charges to its own L2 and memory through mem.Hierarchy.L1DMiss.
+//
+// Each instruction is stepped once for the whole vector: the work the lanes
+// share — the fetch-block transition, class, outcomes, operand rows and
+// ring cursors — is done first, then the stage advance runs over every
+// lane's timing rows. The lanes' dependency chains are independent, so
+// they overlap in the host core's out-of-order window, and a branch on
+// something the lanes share is mispredicted at most once per instruction,
+// not once per lane. Data-dependent choices are not branches at all: an
+// absent source operand reads zeroRow and an absent destination writes
+// sinkRow, and the memory port and every max are picked by conditional
+// moves.
+//
+// The chunk is stepped a tick segment at a time, each segment ending where
+// the hierarchies' next tick falls. A tick at which a lane's class splits
+// lands on an instruction every lane of the vector shares: the lane forks
+// there (fork), and each clone joins the vector as a new column that steps
+// on from the next instruction. step returns the forks.
+func (v *vector) step(buf []isa.DecodedInstr, outs *[laneChunk]predOut, douts *[laneChunk]uint64) (forks []*lane) {
+	cfg := &v.cfg
+	var (
+		s, n, lanes = v.s, v.n, v.lanes
+		curBlock    = v.curBlock
+		fetchGroups = v.res.FetchGroups
+		shift       = cfg.BlockShift
+		blockMask   = uint64(1)<<shift - 1
+	)
+	for k0 := 0; k0 < len(buf); {
+		k1 := min(len(buf), k0+int(cfg.TickBatch-v.tickAccum))
+		for k := k0; k < k1; k++ {
+			e := &buf[k]
+
+			// ---- Shared: fetch block, class, outcomes, operand rows ----
+			// A sequential PC that is not block-aligned provably shares
+			// the previous instruction's fetch block (isa.DecodedInstr.Seq;
+			// a constant-false Seq is always correct), so the block
+			// compare is skipped.
+			var block uint64
+			newBlock := false
+			if pc := e.PC; !e.Seq || pc&blockMask == 0 {
+				if block = pc >> shift; block != curBlock {
+					curBlock = block
+					fetchGroups++
+					newBlock = true
 				}
 			}
-		}
-		ln.fetchRing[ln.fetchIdx] = f
-		ft = f
+			cls := e.Cls
+			isMem := cls.IsMem()
+			o, dout := outs[k], douts[k]
+			fo, do, co, ro, lo := v.cur.fetch, v.cur.dispatch, v.cur.commit, v.cur.rob, v.cur.lsq
 
-		// ---- Dispatch (in-order, ROB occupancy) ----
-		d := f + cfg.FrontendDepth
-		if w := ln.robRing[ln.robIdx] + 1; w > d {
-			d = w
-		}
-		if w := ln.dispatchRing[ln.dispatchIdx] + 1; w > d {
-			d = w
-		}
-		cls := e.Cls
-		isMem := cls.IsMem()
-		if isMem {
-			if w := ln.lsqRing[ln.lsqIdx] + 1; w > d {
-				d = w
-			}
-		}
-		ln.dispatchRing[ln.dispatchIdx] = d
-
-		// ---- Issue (dataflow + memory ports) ----
-		is := d
-		if e.S1 != isa.NoReg {
-			if r := ln.regReady[e.S1]; r > is {
-				is = r
-			}
-		}
-		if e.S2 != isa.NoReg {
-			if r := ln.regReady[e.S2]; r > is {
-				is = r
-			}
-		}
-		if isMem {
-			best := 0
-			if !ln.singlePort {
-				for p := 1; p < cfg.MemPorts; p++ {
-					if ln.portAvail[p] < ln.portAvail[best] {
-						best = p
+			for j := range n {
+				// ---- Fetch ----
+				f := max(s[ftRow*n+j], s[redirectRow*n+j], s[fo+j]+1)
+				if newBlock {
+					if ln := lanes[j]; ln.memo != nil && ln.memo.MemoHit(block) {
+						ln.memoHits++
+					} else if lat := ln.h.FetchBlock(block); lat > 0 {
+						f += lat
+						ln.stalls += lat
 					}
 				}
-			}
-			if ln.portAvail[best] > is {
-				is = ln.portAvail[best]
-			}
-			ln.portAvail[best] = is + 1
-		}
+				s[fo+j] = f
+				s[ftRow*n+j] = f
 
-		// ---- Execute/complete ----
-		ct := is + cfg.Latency[cls]
-		switch cls {
-		case isa.Load:
-			ln.res.Loads++
-			if o := douts[k]; o != 0 {
-				ct += ln.h.L1DMiss(e.MemAddr, o>>2, o&l1dDirty != 0)
-			}
-		case isa.Store:
-			ln.res.Stores++
-			if o := douts[k]; o != 0 {
-				ln.h.L1DMiss(e.MemAddr, o>>2, o&l1dDirty != 0)
-			}
-		case isa.Branch:
-			ln.res.Branches++
-			if o := outs[k]; o.mispred {
-				ln.res.Mispredicts++
-				redirect = ct + cfg.RedirectPenalty
-			} else if e.Taken && o.tgtMiss {
-				// Correctly predicted taken with a BTB target miss: a fetch
-				// redirect at execute, like a mispredict.
-				redirect = ct + cfg.RedirectPenalty
-			}
-		case isa.Jump, isa.Call, isa.Ret:
-			if outs[k].tgtMiss {
-				redirect = ct + cfg.RedirectPenalty
-			}
-		}
-		if e.Dst != isa.NoReg {
-			ln.regReady[e.Dst] = ct
-		}
+				// ---- Dispatch (in-order, ROB and LSQ occupancy) ----
+				d := max(f+cfg.FrontendDepth, s[ro+j]+1, s[do+j]+1)
+				if isMem {
+					d = max(d, s[lo+j]+1)
+				}
+				s[do+j] = d
 
-		// ---- Commit (in-order) ----
-		c := ct + 1
-		if c <= cmt {
-			c = cmt
-		}
-		if w := ln.commitRing[ln.commitIdx] + 1; w > c {
-			c = w
-		}
-		ln.commitRing[ln.commitIdx] = c
-		ln.robRing[ln.robIdx] = c
-		if isMem {
-			ln.lsqRing[ln.lsqIdx] = c
-			if ln.lsqIdx++; ln.lsqIdx == cfg.LSQSize {
-				ln.lsqIdx = 0
+				// ---- Issue (dataflow + memory ports) ----
+				is := max(d, s[v.srcOff[e.S1]+j], s[v.srcOff[e.S2]+j])
+				if isMem {
+					best := v.off.port + j
+					avail := s[best]
+					for p := best + n; p < v.off.rob; p += n {
+						if a := s[p]; a < avail {
+							best, avail = p, a
+						}
+					}
+					is = max(is, avail)
+					s[best] = is + 1
+				}
+
+				// ---- Execute/complete ----
+				ct := is + cfg.Latency[cls]
+				if dout != 0 {
+					if m := lanes[j].h.L1DMiss(e.MemAddr, dout>>2, dout&l1dDirty != 0); cls == isa.Load {
+						ct += m
+					}
+				}
+				if o&predRedirect != 0 {
+					s[redirectRow*n+j] = ct + cfg.RedirectPenalty
+				}
+				s[v.dstOff[e.Dst]+j] = ct
+
+				// ---- Commit (in-order) ----
+				c := max(ct+1, s[cmtRow*n+j], s[co+j]+1)
+				s[co+j] = c
+				s[ro+j] = c
+				if isMem {
+					s[lo+j] = c
+				}
+				s[cmtRow*n+j] = c
+			}
+
+			// Each ring's cursor wraps at the next ring's first row.
+			if isMem {
+				if v.cur.lsq += n; v.cur.lsq == v.off.reg {
+					v.cur.lsq = v.off.lsq
+				}
+			}
+			if v.cur.fetch += n; v.cur.fetch == v.off.dispatch {
+				v.cur.fetch = v.off.fetch
+			}
+			if v.cur.dispatch += n; v.cur.dispatch == v.off.commit {
+				v.cur.dispatch = v.off.dispatch
+			}
+			if v.cur.commit += n; v.cur.commit == v.off.port {
+				v.cur.commit = v.off.commit
+			}
+			if v.cur.rob += n; v.cur.rob == v.off.lsq {
+				v.cur.rob = v.off.rob
 			}
 		}
-		cmt = c
-
-		if ln.fetchIdx++; ln.fetchIdx == cfg.FetchWidth {
-			ln.fetchIdx = 0
+		if v.tickAccum += uint64(k1 - k0); v.tickAccum == cfg.TickBatch {
+			v.tickAccum = 0
+			if f := v.tick(cfg.TickBatch); f != nil {
+				forks = append(forks, f...)
+				s, n, lanes = v.s, v.n, v.lanes
+			}
 		}
-		if ln.dispatchIdx++; ln.dispatchIdx == cfg.DispatchWidth {
-			ln.dispatchIdx = 0
-		}
-		if ln.commitIdx++; ln.commitIdx == cfg.CommitWidth {
-			ln.commitIdx = 0
-		}
-		if ln.robIdx++; ln.robIdx == cfg.ROBSize {
-			ln.robIdx = 0
-		}
-		ln.tickAccum++
-		if ln.tickAccum >= cfg.TickBatch {
-			n := ln.tickAccum
-			ln.tickAccum = 0
-			if ln.h.Advance(n, f) {
-				at, split = int(k)+1, true
-				break
+		k0 = k1
+	}
+	v.curBlock, v.res.FetchGroups = curBlock, fetchGroups
+	v.res.Instructions += uint64(len(buf))
+	for _, ln := range lanes {
+		if ln.recs != nil && v.res.Instructions >= ln.recNext {
+			iv := ln.recSample()
+			for ln.recNext <= v.res.Instructions {
+				ln.recNext += iv
 			}
 		}
 	}
-	ln.ft = ft
-	ln.cmt = cmt
-	ln.redirect = redirect
-	ln.curBlock = curBlock
-	ln.count += uint64(at - from)
-	if !split && ln.recs != nil && ln.count >= ln.recNext {
-		iv := ln.recSample()
-		for ln.recNext <= ln.count {
-			ln.recNext += iv
-		}
-	}
-	return at, split
+	return forks
+}
+
+// tally adds a stepped chunk's class mix and its predictor group's
+// mispredicts to the vector's counts.
+func (v *vector) tally(mix chunkMix, mispredicts uint64) {
+	v.res.Branches += mix.branches
+	v.res.Loads += mix.loads
+	v.res.Stores += mix.stores
+	v.res.Mispredicts += mispredicts
 }
 
 // recSample snapshots the lane's hierarchy into the flight recorder of
 // every class member the lane holds, and returns their sampling interval
 // (one for the whole class: members differ only in bounds). The hierarchy
-// fills the cache/policy fields; the lane overlays its own cursors plus any
-// memo hits not yet flushed into the cache statistics (AddMemoHits counts
-// each hit as an access too, so pending hits are added to both fields —
-// the sampled totals match the end-of-run accounting exactly).
+// fills the cache/policy fields; the lane overlays the vector's instruction
+// count, its own cycles, and any memo hits not yet flushed into the cache
+// statistics (AddMemoHits counts each hit as an access too, so pending
+// hits are added to both fields — the sampled totals match the end-of-run
+// accounting exactly).
 func (ln *lane) recSample() uint64 {
 	var s timeline.Sample
 	ln.h.TimelineSnapshot(&s)
-	s.Instructions = ln.count
-	s.Cycles = ln.cmt
+	s.Instructions = ln.v.res.Instructions
+	s.Cycles = ln.cycles()
 	if ln.memoHits > 0 {
 		s.L1IAccesses += ln.memoHits
 		s.MemoHits += ln.memoHits
@@ -492,27 +565,31 @@ func (ln *lane) recSample() uint64 {
 	return iv
 }
 
-// flush settles the lane at the end of the stream: pending memo hits go to
-// the cache statistics and the trailing tick batch to the hierarchy. A
-// trailing batch that ends a sense interval can split the lane's class like
-// any other; flush then returns the forks, which have nothing left to
-// flush.
-func (ln *lane) flush() []*lane {
-	if ln.memo != nil && ln.memoHits > 0 {
-		ln.memo.AddMemoHits(ln.memoHits)
-		ln.memoHits = 0
-	}
-	if n := ln.tickAccum; n > 0 {
-		ln.tickAccum = 0
-		if ln.h.Advance(n, ln.ft) {
-			return ln.fork()
+// cycles returns the lane's last commit time.
+func (ln *lane) cycles() uint64 { return ln.v.s[cmtRow*ln.v.n+ln.col] }
+
+// flush settles the vector at the end of the stream: every lane's pending
+// memo hits go to its cache statistics and the trailing tick batch to its
+// hierarchy. A trailing batch that ends a sense interval can split a lane's
+// class like any other; flush then returns the forks, which have nothing
+// left to flush.
+func (v *vector) flush() []*lane {
+	for _, ln := range v.lanes {
+		if ln.memo != nil && ln.memoHits > 0 {
+			ln.memo.AddMemoHits(ln.memoHits)
+			ln.memoHits = 0
 		}
 	}
-	return nil
+	n := v.tickAccum
+	if n == 0 {
+		return nil
+	}
+	v.tickAccum = 0
+	return v.tick(n)
 }
 
-// finish assembles the Result and returns the lane's rings to the pool.
-// The lane must not be stepped afterwards.
+// finish assembles the lane's Result. The vector must not be stepped
+// afterwards.
 func (ln *lane) finish() Result {
 	if ln.recs != nil {
 		// Final flush after the trailing tick: the recorder folds a sample
@@ -520,17 +597,17 @@ func (ln *lane) finish() Result {
 		// series always re-aggregates exactly to the end-of-run counters.
 		ln.recSample()
 	}
-	ln.res.Instructions = ln.count
-	ln.res.Cycles = ln.cmt
-	ln.res.BPredStats = ln.bp.Stats()
-	putRings(ln.rs)
-	ln.rs = nil
-	return ln.res
+	r := ln.v.res
+	r.Cycles = ln.cycles()
+	r.ICacheStalls = ln.stalls
+	r.BPredStats = ln.v.bp.Stats()
+	return r
 }
 
 // RunLanes consumes the chunk source once — a replay cursor, a generator
 // stream, or any isa.Chunked stream — and advances one lane per pipeline in
-// lock-step, returning the per-lane results: one per pipeline in input
+// lock-step (pipelines with equal core configurations, predictor groups and
+// L1D groups as one vector), returning the per-lane results: one per pipeline in input
 // order, then one per lane forked from a lane class (see RunLanesCtx).
 // Each lane owns its pipeline timing state and memory hierarchy, so every
 // result is bit-identical to running that pipeline alone over the same
@@ -558,7 +635,8 @@ func RunLanes(src isa.ChunkSource, pipes []*Pipeline) []Result {
 // class (mem.Hierarchy.SetClass) steps the whole class as one lane until
 // its members' decisions diverge; each fork then runs on as its own lane
 // over a copy of the hierarchy drawn from mem.Acquire, and its Result and
-// hierarchy follow the pipelines' in fork order. Each lane's members are
+// hierarchy follow the pipelines' in fork order: by chunk, then by vector
+// in order of first pipeline, then by instruction, then by column. Each lane's members are
 // its hierarchy's ICache().Members(). A pass over hierarchies of one member
 // never forks.
 //
@@ -568,7 +646,7 @@ func RunLanes(src isa.ChunkSource, pipes []*Pipeline) []Result {
 // stream stage reads at most one ring of chunks ahead of the lanes, so a
 // cancellation that the source itself triggers may stop the lanes short of
 // it. On cancellation the stream stage is stopped, every lane is finished
-// (partial results, rings returned to the pool) and the error wraps
+// (partial results) and the error wraps
 // ErrAborted with the context's cause; the partial results must be
 // discarded, and the hierarchies are still returned. A panic in the chunk
 // source or a predictor is re-raised on the caller's goroutine.
@@ -585,10 +663,12 @@ func runLanes(ctx context.Context, src isa.ChunkSource, pipes []*Pipeline, ahead
 	lanes := make([]*lane, len(pipes))
 	var groups []*bpred.Predictor
 	var dgroups []l1dGroup
+	var vecs []*vector
 	byCfg := make(map[bpred.Config]int, 1)
 	// An L1D's dri.Config is its geometry (mem.L1DConfig minus the unused
 	// Name): it never has resizing Params.
 	byL1D := make(map[dri.Config]int, 1)
+	byKey := make(map[vectorKey]*vector, 1)
 	for i, p := range pipes {
 		g, ok := byCfg[p.bp.Config()]
 		if !ok {
@@ -603,7 +683,17 @@ func runLanes(ctx context.Context, src isa.ChunkSource, pipes []*Pipeline, ahead
 			byL1D[dc.Config()] = dg
 			dgroups = append(dgroups, l1dGroup{dc: dc, shift: uint(bits.TrailingZeros(uint(dc.Config().BlockBytes)))})
 		}
-		lanes[i] = newLane(p.cfg, p.h, groups[g], g, dg, p.recs)
+		k := vectorKey{cfg: p.cfg, group: g, dgroup: dg}
+		v := byKey[k]
+		if v == nil {
+			v = newVector(k, groups[g])
+			byKey[k] = v
+			vecs = append(vecs, v)
+		}
+		lanes[i] = v.add(p.h, p.recs)
+	}
+	for _, v := range vecs {
+		v.start()
 	}
 	done := ctx.Done()
 	aborted := func() bool {
@@ -617,10 +707,10 @@ func runLanes(ctx context.Context, src isa.ChunkSource, pipes []*Pipeline, ahead
 			return false
 		}
 	}
-	ended := !aborted() && stepLanes(&lanes, startStream(src, groups, dgroups, done, ahead), aborted)
+	ended := !aborted() && stepLanes(vecs, &lanes, startStream(src, groups, dgroups, done, ahead), aborted)
 	if ended {
-		for i := 0; i < len(lanes); i++ {
-			lanes = append(lanes, lanes[i].flush()...)
+		for _, v := range vecs {
+			lanes = append(lanes, v.flush()...)
 		}
 	}
 	out := make([]Result, len(lanes))
@@ -635,30 +725,20 @@ func runLanes(ctx context.Context, src isa.ChunkSource, pipes []*Pipeline, ahead
 	return out, hs, nil
 }
 
-// stepLanes is the lane stage: it steps every lane over each chunk of the
+// stepLanes is the lane stage: it steps every vector over each chunk of the
 // slots the stream stage fills until the stream ends (true) or aborted
-// reports a cancellation (false). A lane that splits forks in place: its
-// forks join *lanes and step the rest of the chunk after the lanes before
-// them. The stream stage has exited when stepLanes returns, by a panic
-// too, so the predictors are quiescent for finish.
-func stepLanes(lanes *[]*lane, st *stream, aborted func() bool) bool {
+// reports a cancellation (false). The forks of each step join *lanes in
+// the order they happen. The stream stage has exited when stepLanes
+// returns, by a panic too, so the predictors are quiescent for finish.
+func stepLanes(vecs []*vector, lanes *[]*lane, st *stream, aborted func() bool) bool {
 	defer st.stop()
 	for {
 		s := st.next()
 		for j := range s.n {
 			buf := s.buf[j][:s.lens[j]]
-			for i := 0; i < len(*lanes); i++ {
-				ln := (*lanes)[i]
-				outs, douts := &s.outs[ln.group][j], &s.douts[ln.dgroup][j]
-				at, split := ln.stepChunk(buf, outs, douts, ln.from)
-				for split {
-					for _, f := range ln.fork() {
-						f.from = at
-						*lanes = append(*lanes, f)
-					}
-					at, split = ln.stepChunk(buf, outs, douts, at)
-				}
-				ln.from = 0
+			for _, v := range vecs {
+				*lanes = append(*lanes, v.step(buf, &s.outs[v.group][j], &s.douts[v.dgroup][j])...)
+				v.tally(s.mix[j], s.mis[v.group][j])
 			}
 			if aborted() {
 				return false
@@ -692,6 +772,10 @@ type slot struct {
 	buf   [][laneChunk]isa.DecodedInstr
 	outs  [][slotChunks][laneChunk]predOut
 	douts [][slotChunks][laneChunk]uint64
+	// mix is each chunk's class mix and mis, per predictor group, each
+	// chunk's mispredicts.
+	mix [slotChunks]chunkMix
+	mis [][slotChunks]uint64
 }
 
 // slotPool recycles slots (a ring slot is ~168 KiB with one predictor and
@@ -711,6 +795,10 @@ func getSlot(chunks, groups, dgroups int) *slot {
 		s.outs = make([][slotChunks][laneChunk]predOut, groups)
 	}
 	s.outs = s.outs[:groups]
+	if cap(s.mis) < groups {
+		s.mis = make([][slotChunks]uint64, groups)
+	}
+	s.mis = s.mis[:groups]
 	if cap(s.douts) < dgroups {
 		s.douts = make([][slotChunks][laneChunk]uint64, dgroups)
 	}
@@ -739,11 +827,12 @@ func (s *slot) fill(src isa.ChunkSource, groups []*bpred.Predictor, dgroups []l1
 			s.more = false
 			return
 		}
+		mix := &s.mix[s.n]
 		for g, bp := range groups {
-			predictChunk(bp, buf[:k], &s.outs[g][s.n])
+			mix.branches, s.mis[g][s.n] = predictChunk(bp, buf[:k], &s.outs[g][s.n])
 		}
 		for g, dg := range dgroups {
-			dg.walk(buf[:k], &s.douts[g][s.n])
+			mix.loads, mix.stores = dg.walk(buf[:k], &s.douts[g][s.n])
 		}
 		s.lens[s.n] = k
 		s.n++

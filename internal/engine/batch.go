@@ -14,8 +14,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"fmt"
 	"strconv"
 	"sync"
 
@@ -35,11 +33,8 @@ type groupKey struct {
 }
 
 func groupKeyFor(prog trace.Program, budget uint64) groupKey {
-	h := sha256.New()
-	if err := json.NewEncoder(h).Encode(prog); err != nil {
-		panic(fmt.Sprintf("engine: encoding trace.Program: %v", err))
-	}
-	return groupKey{prog: hex.EncodeToString(h.Sum(nil)), budget: budget}
+	sum := sha256.Sum256(programJSON(prog))
+	return groupKey{prog: hex.EncodeToString(sum[:]), budget: budget}
 }
 
 // lanesFor sizes the batches of one lane group. More lanes per batch share

@@ -28,12 +28,15 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 
 	"dricache/internal/dri"
@@ -53,14 +56,44 @@ type Key string
 // benchmark definition (name, seed, phases) agree.
 func KeyFor(cfg sim.Config, prog trace.Program) Key {
 	h := sha256.New()
-	enc := json.NewEncoder(h)
-	if err := enc.Encode(cfg); err != nil {
+	if err := json.NewEncoder(h).Encode(cfg); err != nil {
 		panic(fmt.Sprintf("engine: encoding sim.Config: %v", err))
 	}
-	if err := enc.Encode(prog); err != nil {
+	h.Write(programJSON(prog))
+	return Key(hex.EncodeToString(h.Sum(nil)))
+}
+
+// encodedProgram is a program and its JSON encoding (json.Encoder's, so
+// with the trailing newline).
+type encodedProgram struct {
+	prog trace.Program
+	enc  []byte
+}
+
+// encodedPrograms memoizes programJSON by program name. A cached request's
+// key is otherwise dominated by encoding its benchmark's phases by
+// reflection; the benchmarks are few, and a key checks its program against
+// the cached copy with reflect.DeepEqual, which costs a fraction of that.
+var encodedPrograms sync.Map // string → *encodedProgram
+
+// programJSON returns the JSON encoding of prog, from encodedPrograms when
+// the program cached under its name is equal to it. A program that differs
+// from the cached one under its name replaces it.
+func programJSON(prog trace.Program) []byte {
+	if e, ok := encodedPrograms.Load(prog.Name); ok {
+		if e := e.(*encodedProgram); reflect.DeepEqual(e.prog, prog) {
+			return e.enc
+		}
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(prog); err != nil {
 		panic(fmt.Sprintf("engine: encoding trace.Program: %v", err))
 	}
-	return Key(hex.EncodeToString(h.Sum(nil)))
+	// The cached copy owns its phases, so a caller that later edits its
+	// own slice cannot change what the cache compares against.
+	prog.Phases = slices.Clone(prog.Phases)
+	encodedPrograms.Store(prog.Name, &encodedProgram{prog: prog, enc: buf.Bytes()})
+	return buf.Bytes()
 }
 
 // LaneStats counts the engine's batch scheduler activity: RunManyCtx groups

@@ -2,7 +2,11 @@ package engine
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -101,6 +105,87 @@ func TestKeyForPinned(t *testing.T) {
 	if got := KeyFor(cfg, prog(t, "gcc")); got != want {
 		t.Fatalf("KeyFor = %s, want %s", got, want)
 	}
+}
+
+// refKey is KeyFor without the encoded-program cache.
+func refKey(t testing.TB, cfg sim.Config, p trace.Program) Key {
+	t.Helper()
+	h := sha256.New()
+	enc := json.NewEncoder(h)
+	if err := enc.Encode(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(p); err != nil {
+		t.Fatal(err)
+	}
+	return Key(hex.EncodeToString(h.Sum(nil)))
+}
+
+// TestKeyForTracksPhases: a program that keeps a cached program's name but
+// changes one of its phases gets its own key, the cached name's key is
+// still right afterwards, and editing a program's phases after its key was
+// taken does not leak into the cache.
+func TestKeyForTracksPhases(t *testing.T) {
+	cfg := sim.Default(sim.DRI64K(dri.DefaultParams(100_000)), 1_000_000)
+	p := prog(t, "gcc")
+	base := KeyFor(cfg, p)
+	if want := refKey(t, cfg, p); base != want {
+		t.Fatalf("KeyFor = %s, uncached encoding %s", base, want)
+	}
+	q := p
+	q.Phases = slices.Clone(p.Phases)
+	q.Phases[0].LoopBody++
+	changed := KeyFor(cfg, q)
+	if changed == base {
+		t.Fatal("a changed phase kept the program's key")
+	}
+	if want := refKey(t, cfg, q); changed != want {
+		t.Fatalf("changed program's key %s, uncached encoding %s", changed, want)
+	}
+	if got := KeyFor(cfg, p); got != base {
+		t.Fatalf("key after the name's cache entry changed hands: %s, want %s", got, base)
+	}
+	q.Phases[0].LoopBody++ // the caller's own slice, after its key was taken
+	if got, want := KeyFor(cfg, q), refKey(t, cfg, q); got != want {
+		t.Fatalf("edited program's key %s, uncached encoding %s", got, want)
+	}
+	if groupKeyFor(p, 1) == groupKeyFor(q, 1) {
+		t.Fatal("a changed phase kept the program's lane group")
+	}
+}
+
+// TestKeyForConcurrent takes keys of programs that share a name from many
+// goroutines at once (run it under -race): every key must equal the
+// uncached encoding's.
+func TestKeyForConcurrent(t *testing.T) {
+	cfg := sim.Default(sim.DRI64K(dri.DefaultParams(100_000)), 1_000_000)
+	var progs []trace.Program
+	for _, name := range []string{"gcc", "applu", "swim"} {
+		p := prog(t, name)
+		q := p
+		q.Phases = slices.Clone(p.Phases)
+		q.Phases[len(q.Phases)-1].DataKB++
+		progs = append(progs, p, q)
+	}
+	want := make([]Key, len(progs))
+	for i, p := range progs {
+		want[i] = refKey(t, cfg, p)
+	}
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 200 {
+				k := (g + i) % len(progs)
+				if got := KeyFor(cfg, progs[k]); got != want[k] {
+					t.Errorf("KeyFor(%s #%d) = %s, want %s", progs[k].Name, k, got, want[k])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestSingleFlightDedup is the acceptance test: N concurrent identical

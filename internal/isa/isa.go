@@ -69,8 +69,9 @@ func (c Class) String() string {
 	}
 }
 
-// IsMem reports whether the class accesses data memory.
-func (c Class) IsMem() bool { return c == Load || c == Store }
+// IsMem reports whether the class accesses data memory. Load and Store are
+// adjacent, so one unsigned compare decides it without a branch.
+func (c Class) IsMem() bool { return c-Load <= Store-Load }
 
 // IsControl reports whether the class can redirect fetch.
 func (c Class) IsControl() bool {

@@ -8,7 +8,10 @@
 // detail of the Go release in use.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a xoshiro256** pseudo-random number generator.
 // The zero value is not usable; construct with New.
@@ -66,26 +69,15 @@ func (r *RNG) Intn(n int) int {
 	// in the common case.
 	un := uint64(n)
 	v := r.Uint64()
-	hi, lo := mul64(v, un)
+	hi, lo := bits.Mul64(v, un)
 	if lo < un {
 		threshold := (-un) % un
 		for lo < threshold {
 			v = r.Uint64()
-			hi, lo = mul64(v, un)
+			hi, lo = bits.Mul64(v, un)
 		}
 	}
 	return int(hi)
-}
-
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask32 + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return hi, lo
 }
 
 // Float64 returns a uniform value in [0, 1).

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -176,5 +177,41 @@ func TestQuickIntnAlwaysInRange(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// portableMul64 is the four-multiply 128-bit product Intn used before it
+// called bits.Mul64.
+func portableMul64(a, b uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	a0, a1 := a&mask32, a>>32
+	b0, b1 := b&mask32, b>>32
+	t := a1*b0 + (a0*b0)>>32
+	w1 := t&mask32 + a0*b1
+	hi = a1*b1 + t>>32 + w1>>32
+	lo = a * b
+	return hi, lo
+}
+
+// TestMul64MatchesPortable pins bits.Mul64, which Intn's multiply-shift
+// draws with, to the portable formula on edge values and seeded random
+// pairs, so every generated stream stays what it was.
+func TestMul64MatchesPortable(t *testing.T) {
+	edges := []uint64{0, 1, 2, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<63 - 1, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
+	check := func(a, b uint64) {
+		t.Helper()
+		hi, lo := bits.Mul64(a, b)
+		if phi, plo := portableMul64(a, b); hi != phi || lo != plo {
+			t.Fatalf("Mul64(%#x, %#x) = (%#x, %#x), portable (%#x, %#x)", a, b, hi, lo, phi, plo)
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	r := New(7)
+	for range 100_000 {
+		check(r.Uint64(), r.Uint64())
 	}
 }
